@@ -1,11 +1,12 @@
-//! Table 5 — LinkBench TAO, out of core.
+//! Table 5 — LinkBench TAO, out of core (SIMULATED).
 //!
 //! The paper caps the systems to 4 GB with cgroups so that block accesses
 //! hit the SSD. This reproduction feeds every operation through the
 //! user-level page-cache model (`ColdAccessSimulator`): graph-aware stores
 //! pay one contiguous span per adjacency list, edge-table stores pay one
 //! potentially-cold page per edge. Both an Optane-like and a NAND-like miss
-//! penalty are reported.
+//! penalty are reported. The engine itself stays in memory, so every number
+//! here comes from that model, not from a real storage device.
 
 use livegraph_bench::{Device, LinkBenchExperiment, ResultTable, ScaleMode};
 use livegraph_workloads::OpMix;
@@ -13,7 +14,7 @@ use livegraph_workloads::OpMix;
 fn main() {
     let mode = ScaleMode::from_env();
     let mut table = ResultTable::new(
-        "Table 5 — LinkBench TAO out of core (latency in ms)",
+        "Table 5 — LinkBench TAO out of core, SIMULATED: ColdAccessSimulator over the in-memory engine (latency in ms)",
         &["device", "system", "mean", "p99", "p999", "throughput_req_s"],
     );
     for device in [Device::Optane, Device::Nand] {

@@ -1,6 +1,7 @@
-//! Table 6 — LinkBench DFLT, out of core.
+//! Table 6 — LinkBench DFLT, out of core (SIMULATED).
 //!
-//! Same methodology as Table 5 but with the 31%-write DFLT mix. The paper's
+//! Same methodology as Table 5 — the `ColdAccessSimulator` model over the
+//! in-memory engine — but with the 31%-write DFLT mix. The paper's
 //! shape: LiveGraph still leads on the low-latency device (Optane) while the
 //! LSM store narrows the gap on NAND thanks to its large sequential writes.
 
@@ -10,7 +11,7 @@ use livegraph_workloads::OpMix;
 fn main() {
     let mode = ScaleMode::from_env();
     let mut table = ResultTable::new(
-        "Table 6 — LinkBench DFLT out of core (latency in ms)",
+        "Table 6 — LinkBench DFLT out of core, SIMULATED: ColdAccessSimulator over the in-memory engine (latency in ms)",
         &["device", "system", "mean", "p99", "p999", "throughput_req_s"],
     );
     for device in [Device::Optane, Device::Nand] {

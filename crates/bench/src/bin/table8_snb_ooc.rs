@@ -1,7 +1,9 @@
-//! Table 8 — LDBC SNB-lite interactive throughput, out of core.
+//! Table 8 — LDBC SNB-lite interactive throughput, out of core (SIMULATED).
 //!
 //! Same workload as Table 7 but with every backend behind the user-level
 //! page-cache model (3 GB cap in the paper; here a small simulated cache).
+//! The engine itself stays in memory: every number comes from the
+//! `ColdAccessSimulator` model, not from a real storage device.
 
 use std::sync::Arc;
 
@@ -45,7 +47,7 @@ fn main() {
     ));
 
     let mut table = ResultTable::new(
-        "Table 8 — SNB interactive throughput out of core (req/s)",
+        "Table 8 — SNB interactive throughput out of core, SIMULATED: ColdAccessSimulator over the in-memory engine (req/s)",
         &["mix", "system", "throughput_req_s"],
     );
     for mix in [SnbMix::ComplexOnly, SnbMix::Overall] {

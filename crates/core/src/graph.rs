@@ -16,7 +16,7 @@ use livegraph_storage::{BlockPtr, BlockStore, BlockStoreOptions, BlockStoreStats
 use crate::commit::{CommitCoordinator, GroupClock};
 use crate::compaction::{CompactionState, CompactionStats};
 use crate::epoch::EpochManager;
-use crate::error::{Error, Result};
+use crate::error::Result;
 use crate::index::{IndexArray, LabelIndexRef};
 use crate::locks::VertexLockTable;
 use crate::tel::{TelRef, EDGE_ENTRY_SIZE, TEL_HEADER_SIZE};
@@ -34,12 +34,9 @@ pub struct LiveGraphOptions {
     /// Maximum number of vertices (sizes the index arrays and lock table;
     /// the reservation is virtual memory only).
     pub max_vertices: usize,
-    /// Directory for durable state (WAL, checkpoints, optional on-disk block
-    /// store). `None` disables durability entirely.
+    /// Directory for durable state (WAL and checkpoints). `None` disables
+    /// durability entirely.
     pub data_dir: Option<PathBuf>,
-    /// Back the block store itself with a file inside `data_dir` (the
-    /// paper's out-of-core configuration). Ignored without `data_dir`.
-    pub block_store_on_disk: bool,
     /// Whether commit groups `fsync` the WAL.
     pub sync_mode: SyncMode,
     /// Number of commits between automatic compaction passes per worker
@@ -69,7 +66,6 @@ impl Default for LiveGraphOptions {
             block_store_capacity: 1 << 30,
             max_vertices: 1 << 24,
             data_dir: None,
-            block_store_on_disk: false,
             sync_mode: SyncMode::Fsync,
             compaction_interval: 65_536,
             auto_compaction: true,
@@ -122,12 +118,6 @@ impl LiveGraphOptions {
     /// Sets the automatic compaction interval (commits per worker).
     pub fn with_compaction_interval(mut self, every: u64) -> Self {
         self.compaction_interval = every;
-        self
-    }
-
-    /// Places the block store itself on disk (out-of-core mode).
-    pub fn with_block_store_on_disk(mut self, on: bool) -> Self {
-        self.block_store_on_disk = on;
         self
     }
 
@@ -579,27 +569,13 @@ impl LiveGraph {
         options: LiveGraphOptions,
         hooks: Option<EngineHooks>,
     ) -> Result<Self> {
-        let store = match (&options.data_dir, options.block_store_on_disk) {
-            (Some(dir), true) => {
-                std::fs::create_dir_all(dir)?;
-                BlockStore::file_backed(
-                    &dir.join("blocks.dat"),
-                    BlockStoreOptions {
-                        capacity: options.block_store_capacity,
-                        ..Default::default()
-                    },
-                )?
-            }
-            _ => {
-                if let Some(dir) = &options.data_dir {
-                    std::fs::create_dir_all(dir)?;
-                }
-                BlockStore::with_options(BlockStoreOptions {
-                    capacity: options.block_store_capacity,
-                    ..Default::default()
-                })?
-            }
-        };
+        if let Some(dir) = &options.data_dir {
+            std::fs::create_dir_all(dir)?;
+        }
+        let store = BlockStore::with_options(BlockStoreOptions {
+            capacity: options.block_store_capacity,
+            ..Default::default()
+        })?;
         let wal_path = options.data_dir.as_ref().map(|d| d.join("wal.log"));
         let (epochs, mut commit, telemetry, defer_recovery) = match hooks {
             Some(h) => {
@@ -777,13 +753,6 @@ impl LiveGraph {
         let stats = self.stats();
         push_engine_metrics(&mut snap, &stats);
         snap
-    }
-
-    /// Drops OS page-cache residency for a file-backed block store (used by
-    /// the out-of-core benchmarks to start cold). No-op for in-memory
-    /// graphs.
-    pub fn drop_page_cache(&self) -> Result<()> {
-        self.inner.store.drop_page_cache().map_err(Error::from)
     }
 
     fn recover_existing_state(&self) -> Result<()> {

@@ -58,7 +58,7 @@ use crate::wal::{read_wal, WalOp, WalRecord};
 ///
 /// `base` configures every shard identically; `base.data_dir`, if set, is
 /// the *root* directory under which each shard keeps its own `shard-<i>/`
-/// subdirectory (WAL and optional on-disk block store).
+/// subdirectory (its WAL).
 #[derive(Debug, Clone)]
 pub struct ShardedGraphOptions {
     /// Number of shards (≥ 1). Vertex `v` lives on shard `v % shards`.

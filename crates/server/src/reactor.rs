@@ -326,21 +326,33 @@ struct LoopShared {
     wake: EventFd,
 }
 
-/// Registry of replica-handoff connections so shutdown can sever and join
-/// them (mirrors the blocking server's `ConnTracker`).
+/// Registry of replica-handoff streamers (a handle on each socket plus its
+/// thread) so shutdown can sever and join them (mirrors the blocking
+/// server's `ConnTracker`).
 #[derive(Default)]
 struct HandoffRegistry {
-    next_id: AtomicU64,
-    streams: Mutex<HashMap<u64, TcpStream>>,
-    threads: Mutex<Vec<JoinHandle<()>>>,
+    streamers: Mutex<Vec<(TcpStream, JoinHandle<()>)>>,
 }
 
 impl HandoffRegistry {
+    /// Records a new streamer, first joining the ones that already ended: a
+    /// replica reconnects after every link fault, so without this each
+    /// reconnect would leave a finished thread (and its stack) behind until
+    /// shutdown. Joining a finished thread does not block.
+    fn register(&self, stream: TcpStream, handle: JoinHandle<()>) {
+        let mut streamers = self.streamers.lock();
+        while let Some(i) = streamers.iter().position(|(_, t)| t.is_finished()) {
+            let _ = streamers.swap_remove(i).1.join();
+        }
+        streamers.push((stream, handle));
+    }
+
     fn kill_and_join(&self) {
-        for (_, stream) in self.streams.lock().drain() {
+        let streamers = std::mem::take(&mut *self.streamers.lock());
+        for (stream, _) in &streamers {
             let _ = stream.shutdown(std::net::Shutdown::Both);
         }
-        for t in self.threads.lock().drain(..) {
+        for (_, t) in streamers {
             let _ = t.join();
         }
     }
@@ -658,7 +670,7 @@ fn event_loop(
 fn handoff_replica(
     engine: &Arc<Engine>,
     replication: &Arc<ReplicationState>,
-    handoffs: &Arc<HandoffRegistry>,
+    handoffs: &HandoffRegistry,
     stream: TcpStream,
     corr: u64,
     last_epoch: i64,
@@ -666,29 +678,20 @@ fn handoff_replica(
     if stream.set_nonblocking(false).is_err() {
         return;
     }
-    // ORDERING: Relaxed — unique-id counter; atomicity suffices.
-    let id = handoffs.next_id.fetch_add(1, Ordering::Relaxed);
-    if let Ok(clone) = stream.try_clone() {
-        handoffs.streams.lock().insert(id, clone);
-    }
+    let (Ok(kill_handle), Ok(read_half)) = (stream.try_clone(), stream.try_clone()) else {
+        return;
+    };
     let engine = Arc::clone(engine);
     let replication = Arc::clone(replication);
-    let registry = Arc::clone(handoffs);
     let handle = std::thread::spawn(move || {
-        if let Ok(read_half) = stream.try_clone() {
-            let reader = std::io::BufReader::new(read_half);
-            let _ = replication::serve_replica(
-                &engine,
-                &replication,
-                &stream,
-                reader,
-                corr,
-                last_epoch,
-            );
-        }
-        registry.streams.lock().remove(&id);
+        let reader = std::io::BufReader::new(read_half);
+        let _ =
+            replication::serve_replica(&engine, &replication, &stream, reader, corr, last_epoch);
+        // The registry's handle keeps the socket open; close it now so the
+        // replica sees EOF and reconnects.
+        let _ = stream.shutdown(std::net::Shutdown::Both);
     });
-    handoffs.threads.lock().push(handle);
+    handoffs.register(kill_handle, handle);
 }
 
 fn update_interest(
@@ -941,8 +944,10 @@ mod tests {
     #[test]
     fn backpressure_pauses_reading_but_never_loses_responses() {
         // A client that floods large streaming requests while reading
-        // nothing must not balloon server memory without bound; once it
-        // starts reading, every response must still arrive, in order.
+        // nothing must not balloon server memory without bound: once the
+        // loopback buffers and the outbound watermark are full, the loop
+        // stops reading it (one counted stall). Once the client starts
+        // reading, every response must still arrive, complete and in order.
         use crate::protocol::{read_response, write_request, Request, Response};
         let server = start_reactor(1);
         let mut setup = Client::connect(server.local_addr()).unwrap();
@@ -955,30 +960,53 @@ mod tests {
                 .unwrap();
         }
         setup.commit(txn).unwrap();
-        drop(setup);
+
+        // `setup` stays open as the metrics connection.
+        let mut stalls = || {
+            setup
+                .metrics_dump()
+                .unwrap()
+                .counters
+                .into_iter()
+                .find(|(name, _)| name == "livegraph_reactor_backpressure_stalls_total")
+                .map_or(0, |(_, v)| v)
+        };
+        assert_eq!(stalls(), 0);
 
         let stream = TcpStream::connect(server.local_addr()).unwrap();
+        // Requests sent after the pause pile up unread in the kernel; a
+        // write timeout turns an overfull socket into a failure, not a hang.
+        stream
+            .set_write_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
         let mut writer = std::io::BufWriter::new(stream.try_clone().unwrap());
         let mut reader = std::io::BufReader::new(stream);
-        const BURST: u64 = 64;
-        for corr in 0..BURST {
-            write_request(
-                &mut writer,
-                corr,
-                &Request::Neighbors {
-                    txn: crate::protocol::TxnHandle::AUTO,
-                    vertex: src,
-                    label: DEFAULT_LABEL,
-                    limit: 0,
-                },
-            )
-            .unwrap();
+        // Each request streams ~16 KB of replies and loopback socket buffers
+        // absorb megabytes of them, so keep sending, replies unread, until
+        // the loop reports the stall.
+        const BATCH: u64 = 128;
+        const MAX_REQUESTS: u64 = 8192;
+        let scan = Request::Neighbors {
+            txn: crate::protocol::TxnHandle::AUTO,
+            vertex: src,
+            label: DEFAULT_LABEL,
+            limit: 0,
+        };
+        let mut sent = 0u64;
+        while stalls() == 0 {
+            assert!(sent < MAX_REQUESTS, "no backpressure stall after {sent} unread requests");
+            for corr in sent..sent + BATCH {
+                write_request(&mut writer, corr, &scan).unwrap();
+            }
+            writer.flush().unwrap();
+            sent += BATCH;
+            std::thread::sleep(std::time::Duration::from_millis(10));
         }
-        writer.flush().unwrap();
+
         // Now read everything; each Neighbors request streams 2000 dsts in
         // two chunks (1024 + 976).
         let mut scratch = Vec::new();
-        for corr in 0..BURST {
+        for corr in 0..sent {
             let mut got = 0usize;
             loop {
                 let (rcorr, resp) = read_response(&mut reader, &mut scratch)
@@ -997,6 +1025,40 @@ mod tests {
             }
             assert_eq!(got, 2000);
         }
+        assert!(stalls() >= 1);
+        drop(setup);
+        server.shutdown();
+    }
+
+    #[test]
+    fn finished_replica_handoff_threads_are_joined() {
+        // A sharded engine answers ReplicaHello with `Unsupported` and the
+        // streamer thread returns at once, like a replica link that drops.
+        use crate::protocol::{read_response, write_request, ErrorCode, Request, Response};
+        use livegraph_core::{ShardedGraph, ShardedGraphOptions};
+        let engine = ShardedGraph::open(ShardedGraphOptions::in_memory(2)).unwrap();
+        let engine = Arc::new(Engine::Sharded(engine));
+        let server =
+            ReactorServer::start(engine, "127.0.0.1:0", ReactorConfig::default()).unwrap();
+        for _ in 0..8 {
+            let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+            write_request(&mut stream, 7, &Request::ReplicaHello { last_epoch: 0 }).unwrap();
+            let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+            let (corr, resp) = read_response(&mut reader, &mut Vec::new())
+                .unwrap()
+                .expect("reply");
+            assert_eq!(corr, 7);
+            assert!(matches!(resp, Response::Error { code: ErrorCode::Unsupported, .. }));
+            drop((reader, stream));
+            // Let this streamer end before the next one registers.
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+            while !server.handoffs.streamers.lock().iter().all(|(_, t)| t.is_finished()) {
+                assert!(std::time::Instant::now() < deadline, "streamer never ended");
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        }
+        let held = server.handoffs.streamers.lock().len();
+        assert!(held <= 1, "registry holds {held} handoff threads after 8 reconnects");
         server.shutdown();
     }
 }

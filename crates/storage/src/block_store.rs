@@ -15,13 +15,12 @@
 //! owning layer explicitly frees the block (LiveGraph's compactor only does
 //! so once no live transaction can reference it).
 
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 
-use crate::region::{Region, RegionBacking};
-use crate::size_class::{order_for_size, size_for_order, MAX_ORDER, MIN_BLOCK_SIZE};
+use crate::region::Region;
+use crate::size_class::{size_for_order, MAX_ORDER, MIN_BLOCK_SIZE};
 use crate::stats::{BlockStoreStats, SizeClassStats};
 use crate::{Result, StorageError};
 
@@ -112,17 +111,6 @@ impl BlockStore {
     /// Creates an in-memory store from explicit options.
     pub fn with_options(options: BlockStoreOptions) -> Result<Self> {
         let region = Region::anonymous(options.capacity)?;
-        Ok(Self::from_region(region, options))
-    }
-
-    /// Creates a file-backed store at `path` (sparse file of `capacity`
-    /// bytes), used for durable / out-of-core block storage.
-    pub fn file_backed(path: &Path, options: BlockStoreOptions) -> Result<Self> {
-        let region = Region::file(path, options.capacity)?;
-        Ok(Self::from_region(region, options))
-    }
-
-    fn from_region(region: Region, options: BlockStoreOptions) -> Self {
         let m = options.small_class_threshold.min(MAX_ORDER) as usize;
         let shards = options.free_list_shards.max(1);
         let small_free = (0..shards)
@@ -132,7 +120,7 @@ impl BlockStore {
             .map(|_| Mutex::new(Vec::new()))
             .collect();
         let counters = (0..TRACKED_ORDERS).map(|_| SizeClassCounters::new()).collect();
-        Self {
+        Ok(Self {
             region,
             tail: AtomicUsize::new(MIN_BLOCK_SIZE),
             small_threshold: m as u8,
@@ -140,7 +128,7 @@ impl BlockStore {
             large_free,
             counters,
             shard_counter: AtomicUsize::new(0),
-        }
+        })
     }
 
     /// Total reserved capacity in bytes.
@@ -149,22 +137,11 @@ impl BlockStore {
         self.region.capacity()
     }
 
-    /// How the underlying region is backed.
-    pub fn backing(&self) -> &RegionBacking {
-        self.region.backing()
-    }
-
     /// High-water mark of the bump allocator in bytes.
     pub fn bump_bytes(&self) -> usize {
         // ORDERING: Relaxed — statistics read; allocation correctness is
         // carried by the fetch_add's atomicity, not by this load.
         self.tail.load(Ordering::Relaxed)
-    }
-
-    /// Returns the size class order whose block can hold `bytes`.
-    #[inline]
-    pub fn order_for(bytes: usize) -> u8 {
-        order_for_size(bytes)
     }
 
     /// Allocates a block of the given order. The contents are unspecified
@@ -244,17 +221,6 @@ impl BlockStore {
         debug_assert!((ptr as usize) < self.region.capacity());
         // SAFETY: offset is within the mapping (checked at allocation time).
         unsafe { self.region.as_ptr().add(ptr as usize) }
-    }
-
-    /// Flushes the backing file if this store is file-backed.
-    pub fn flush(&self) -> Result<()> {
-        self.region.flush()
-    }
-
-    /// Drops resident pages (used by out-of-core benchmarks to reset the OS
-    /// page cache state for file-backed stores).
-    pub fn drop_page_cache(&self) -> Result<()> {
-        self.region.advise_dontneed()
     }
 
     /// Snapshot of allocation statistics (Figure 7b block-size distribution).
@@ -424,24 +390,6 @@ mod tests {
         assert_eq!(class0.total_allocations, 2);
         assert_eq!(class2.live_blocks, 1);
         assert!(stats.occupancy() <= 1.0);
-    }
-
-    #[test]
-    fn file_backed_store_allocates_and_flushes() {
-        let dir = tempfile::tempdir().unwrap();
-        let path = dir.path().join("store.db");
-        let store = BlockStore::file_backed(
-            &path,
-            BlockStoreOptions {
-                capacity: 1 << 16,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let ptr = store.allocate_zeroed(1).unwrap();
-        unsafe { *store.block_ptr(ptr) = 42 };
-        store.flush().unwrap();
-        assert!(path.exists());
     }
 
     #[test]

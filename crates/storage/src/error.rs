@@ -19,10 +19,8 @@ pub enum StorageError {
         /// The offending order.
         order: u8,
     },
-    /// An I/O error from the operating system (mmap, file creation, sync).
+    /// An I/O error from the operating system (the region's `mmap`).
     Io(io::Error),
-    /// A configuration value (page size, frame count, …) is out of range.
-    InvalidConfig(String),
 }
 
 impl fmt::Display for StorageError {
@@ -39,7 +37,6 @@ impl fmt::Display for StorageError {
                 write!(f, "invalid block size class (order {order})")
             }
             StorageError::Io(e) => write!(f, "storage I/O error: {e}"),
-            StorageError::InvalidConfig(msg) => write!(f, "invalid storage configuration: {msg}"),
         }
     }
 }
@@ -78,12 +75,6 @@ mod tests {
     fn display_invalid_size_class() {
         let e = StorageError::InvalidSizeClass { order: 99 };
         assert!(e.to_string().contains("99"));
-    }
-
-    #[test]
-    fn display_invalid_config() {
-        let e = StorageError::InvalidConfig("frames must be non-zero".into());
-        assert!(e.to_string().contains("frames"));
     }
 
     #[test]

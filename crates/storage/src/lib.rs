@@ -9,19 +9,17 @@
 //!
 //! This crate provides that layer:
 //!
-//! * [`Region`] — a fixed virtual-address-space reservation backed either by
-//!   anonymous memory or by a file (`mmap`), so raw block pointers stay valid
-//!   for the lifetime of the store.
+//! * [`Region`] — a fixed virtual-address-space reservation of anonymous
+//!   memory (`mmap`), so raw block pointers stay valid for the lifetime of
+//!   the store.
 //! * [`BlockStore`] — power-of-two block allocation on top of a [`Region`]
 //!   with sharded small-block free lists and a shared large-block free list,
 //!   mirroring the paper's threshold `m` design.
-//! * [`PageCache`] — a managed page cache (pin/unpin, CLOCK eviction, dirty
-//!   write-back) over a backing file: the replacement for raw `mmap` that §6
-//!   of the paper lists as planned work for very large datasets.
 //! * [`ColdAccessSimulator`] — a user-level page-cache model used by the
-//!   benchmark harness to reproduce the paper's out-of-core experiments
+//!   benchmark harness to simulate the paper's out-of-core experiments
 //!   (which on the authors' testbed used cgroup memory caps) in a portable,
-//!   deterministic way.
+//!   deterministic way. The store itself is always in memory; durability
+//!   comes from the WAL and checkpoints in `livegraph-core`.
 //!
 //! The TEL itself (layout, timestamps, Bloom filter) lives in
 //! `livegraph-core`; this crate is deliberately unaware of what the blocks
@@ -37,7 +35,6 @@
 mod block_store;
 mod cold;
 mod error;
-mod page_cache;
 mod region;
 mod size_class;
 mod stats;
@@ -45,8 +42,7 @@ mod stats;
 pub use block_store::{BlockPtr, BlockStore, BlockStoreOptions, NULL_BLOCK};
 pub use cold::{ColdAccessSimulator, ColdAccessStats};
 pub use error::StorageError;
-pub use page_cache::{PageCache, PageCacheOptions, PageCacheStats, PageId};
-pub use region::{Region, RegionBacking};
+pub use region::Region;
 pub use size_class::{order_for_size, size_for_order, MAX_ORDER, MIN_BLOCK_SIZE};
 pub use stats::{BlockStoreStats, SizeClassStats};
 

@@ -1,89 +1,39 @@
-//! Fixed-size memory regions backed by anonymous memory or a file.
+//! Fixed-size anonymous memory regions.
 //!
 //! LiveGraph keeps all blocks inside "a single large memory-mapped file"
-//! (§6). A [`Region`] reserves the whole capacity up front with `mmap`, so
-//! block pointers (offsets into the region) can be translated to raw
-//! pointers that remain stable for the lifetime of the region. Anonymous
-//! mappings are used for purely in-memory stores; file mappings provide
-//! durability of the block store itself and enable out-of-core execution
-//! where the OS pages blocks in and out on demand.
-
-use std::fs::OpenOptions;
-use std::path::{Path, PathBuf};
+//! (§6). A [`Region`] reserves the whole capacity up front with an
+//! anonymous `mmap`, so block pointers (offsets into the region) can be
+//! translated to raw pointers that remain stable for the lifetime of the
+//! region. Pages are allocated lazily by the OS on first touch, so reserving
+//! a large capacity is cheap. This reproduction is in-memory: durability
+//! comes from the WAL and checkpoints, not from the region's bytes, and the
+//! paper's out-of-core experiments are modelled by
+//! [`ColdAccessSimulator`](crate::ColdAccessSimulator).
 
 use memmap2::MmapMut;
 
-use crate::{Result, StorageError};
+use crate::Result;
 
-/// How a [`Region`] is backed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RegionBacking {
-    /// Anonymous private memory (no file). Pages are allocated lazily by the
-    /// OS on first touch, so reserving a large capacity is cheap.
-    Anonymous,
-    /// A file on disk, grown (sparse) to the full capacity. The OS page
-    /// cache decides what stays in memory, which is exactly the paper's
-    /// out-of-core mode.
-    File(PathBuf),
-}
-
-/// A fixed-capacity, never-remapped byte region.
+/// A fixed-capacity, never-remapped byte region of anonymous memory.
 ///
 /// All access goes through raw pointers handed out by [`Region::as_ptr`];
 /// higher layers are responsible for synchronising concurrent access to the
 /// bytes (the block store guarantees that distinct live blocks never alias).
+#[derive(Debug)]
 pub struct Region {
     map: MmapMut,
-    backing: RegionBacking,
-}
-
-impl std::fmt::Debug for Region {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Region")
-            .field("capacity", &self.map.len())
-            .field("backing", &self.backing)
-            .finish()
-    }
 }
 
 impl Region {
     /// Reserves `capacity` bytes of anonymous memory.
     pub fn anonymous(capacity: usize) -> Result<Self> {
-        let map = MmapMut::map_anon(capacity).map_err(StorageError::from)?;
-        Ok(Self {
-            map,
-            backing: RegionBacking::Anonymous,
-        })
-    }
-
-    /// Creates (or truncates) `path` as a sparse file of `capacity` bytes and
-    /// maps it read-write.
-    pub fn file(path: &Path, capacity: usize) -> Result<Self> {
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)?;
-        file.set_len(capacity as u64)?;
-        // SAFETY: the file is exclusively owned by this region for its
-        // lifetime; concurrent external modification is outside the model.
-        let map = unsafe { MmapMut::map_mut(&file)? };
-        Ok(Self {
-            map,
-            backing: RegionBacking::File(path.to_path_buf()),
-        })
+        Ok(Self { map: MmapMut::map_anon(capacity)? })
     }
 
     /// Total capacity of the region in bytes.
     #[inline]
     pub fn capacity(&self) -> usize {
         self.map.len()
-    }
-
-    /// How this region is backed.
-    pub fn backing(&self) -> &RegionBacking {
-        &self.backing
     }
 
     /// Raw pointer to the start of the region.
@@ -93,32 +43,6 @@ impl Region {
     #[inline]
     pub fn as_ptr(&self) -> *mut u8 {
         self.map.as_ptr() as *mut u8
-    }
-
-    /// Flushes dirty pages to the backing file (no-op for anonymous regions).
-    pub fn flush(&self) -> Result<()> {
-        if matches!(self.backing, RegionBacking::File(_)) {
-            self.map.flush().map_err(StorageError::from)?;
-        }
-        Ok(())
-    }
-
-    /// Advises the OS that the whole region's pages may be dropped.
-    ///
-    /// Used by the out-of-core benchmarks to start from a cold page cache.
-    pub fn advise_dontneed(&self) -> Result<()> {
-        // SAFETY: the address range is exactly the mapping owned by `map`.
-        let rc = unsafe {
-            libc::madvise(
-                self.map.as_ptr() as *mut libc::c_void,
-                self.map.len(),
-                libc::MADV_DONTNEED,
-            )
-        };
-        if rc != 0 {
-            return Err(StorageError::Io(std::io::Error::last_os_error()));
-        }
-        Ok(())
     }
 }
 
@@ -142,36 +66,5 @@ mod tests {
             assert_eq!(*ptr, 0xAB);
             assert_eq!(*ptr.add(region.capacity() - 1), 0);
         }
-    }
-
-    #[test]
-    fn file_region_persists_flushed_bytes() {
-        let dir = tempfile::tempdir().unwrap();
-        let path = dir.path().join("blocks.dat");
-        {
-            let region = Region::file(&path, 4096).unwrap();
-            unsafe {
-                *region.as_ptr().add(100) = 0x7F;
-            }
-            region.flush().unwrap();
-        }
-        let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(bytes.len(), 4096);
-        assert_eq!(bytes[100], 0x7F);
-    }
-
-    #[test]
-    fn advise_dontneed_succeeds() {
-        let region = Region::anonymous(1 << 16).unwrap();
-        unsafe { *region.as_ptr() = 1 };
-        region.advise_dontneed().unwrap();
-        // Anonymous pages dropped with MADV_DONTNEED read back as zero.
-        unsafe { assert_eq!(*region.as_ptr(), 0) };
-    }
-
-    #[test]
-    fn backing_kind_is_reported() {
-        let region = Region::anonymous(4096).unwrap();
-        assert_eq!(*region.backing(), RegionBacking::Anonymous);
     }
 }
