@@ -243,7 +243,7 @@ fn run_fanout(cfg: &Config) -> Vec<FanoutSample> {
 
     // Load the base graph over the wire, then checkpoint so replicas
     // bootstrap from an image instead of replaying the load.
-    let loader = RemoteBackend::connect(p_addr, READ_CLIENTS).expect("connect loader");
+    let loader = RemoteBackend::connect(p_addr, READ_CLIENTS, 1).expect("connect loader");
     load_base_graph(&loader, cfg.vertices, cfg.avg_degree, 7);
     drop(loader);
     primary.as_plain().unwrap().checkpoint().expect("checkpoint primary");
@@ -261,7 +261,7 @@ fn run_fanout(cfg: &Config) -> Vec<FanoutSample> {
         .map(|&n| {
             let addrs: Vec<_> = replicas[..n].iter().map(|r| r.server.local_addr()).collect();
             let backend = Arc::new(
-                RemoteBackend::connect_with_replicas(p_addr, &addrs, READ_CLIENTS)
+                RemoteBackend::connect_with_replicas(p_addr, &addrs, READ_CLIENTS, 1)
                     .expect("connect fan-out backend"),
             );
             let reads_per_s = run_reads(&backend, cfg);

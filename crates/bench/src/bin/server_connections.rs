@@ -14,10 +14,9 @@
 //!   connection beyond its worker count is parked unserved.
 //! * **Pipelined vs request/response throughput** — the DFLT LinkBench
 //!   mix over loopback against an in-process reactor, nosync, at 1/4/16
-//!   client threads: once with the blocking one-request-at-a-time
-//!   `RemoteBackend::connect`, once with
-//!   `RemoteBackend::connect_pipelined` (threads sharing pipelined
-//!   connections, requests overlapping on the wire). The in-process run
+//!   client threads: once request/response (`RemoteBackend::connect` with
+//!   one depth-1 connection per thread), once pipelined (threads sharing
+//!   fewer connections, requests overlapping on the wire). The in-process run
 //!   of the same mix is the common baseline, so the two remote transports
 //!   are directly comparable as `remote / in-process` ratios.
 //!
@@ -332,12 +331,12 @@ fn run_triple(clients: usize, cfg: &Config) -> Sample {
         load_base_graph(&backend, cfg.vertices, cfg.avg_degree, 7);
         run_workload(Arc::new(backend), &driver_config(clients, cfg))
     };
-    let blocking = run_remote(cfg, clients, |addr| RemoteBackend::connect(addr, clients));
+    let blocking = run_remote(cfg, clients, |addr| RemoteBackend::connect(addr, clients, 1));
     // Pipelined: fewer sockets than client threads — the point is that
     // threads *share* connections and their requests overlap in flight.
     let pipelined_connections = (clients / 4).clamp(1, 4);
     let pipelined = run_remote(cfg, clients, |addr| {
-        RemoteBackend::connect_pipelined(addr, pipelined_connections, PIPELINE_DEPTH)
+        RemoteBackend::connect(addr, pipelined_connections, PIPELINE_DEPTH)
     });
     Sample {
         clients,

@@ -133,9 +133,9 @@ fn run_pair(clients: usize, cfg: &Config, mode: Mode) -> Sample {
     };
 
     // Remote: same engine build, hosted behind the TCP service; the driver
-    // speaks the wire protocol through a connection pool sized one
-    // connection per client thread (and the server must offer at least as
-    // many handler threads — pooled connections are persistent sessions).
+    // speaks the wire protocol over one request/response connection
+    // (depth 1) per client thread, and the server must offer at least as
+    // many handler threads — the connections are persistent sessions.
     let (graph, _dir) = build_graph(cfg, mode);
     let server = Server::start(
         Arc::new(Engine::Plain(graph)),
@@ -145,7 +145,7 @@ fn run_pair(clients: usize, cfg: &Config, mode: Mode) -> Sample {
     .expect("start loopback server");
     let (remote, stats) = {
         let backend = Arc::new(
-            RemoteBackend::connect(server.local_addr(), clients)
+            RemoteBackend::connect(server.local_addr(), clients, 1)
                 .expect("connect remote backend"),
         );
         load_base_graph(&*backend, cfg.vertices, cfg.avg_degree, 7);

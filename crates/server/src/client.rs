@@ -1,24 +1,23 @@
-//! Blocking client library: one [`Client`] per TCP connection, plus a
-//! [`ClientPool`] that lends connections to concurrent workers.
+//! Blocking client library: one [`Client`] per TCP connection, owned by
+//! one thread — the explicit-transaction client.
 //!
 //! A `Client` issues one request at a time and waits for the response
 //! (correlation ids are still attached and checked, so interleaved or
 //! duplicated frames from a broken peer are detected rather than silently
 //! mis-matched). [`Client::neighbors`] reassembles the server's chunked
 //! adjacency stream. A connection that sees an I/O or protocol error is
-//! *poisoned* — the pool discards it instead of handing out a connection
-//! whose stream position is unknown.
+//! *poisoned*: its stream position is unknown, so the caller must drop it
+//! and dial a fresh one. Threads that share connections use
+//! [`PipelinedClient`](crate::PipelinedClient) instead.
 
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use parking_lot::Mutex;
-
 use livegraph_core::types::{Label, Timestamp, VertexId};
 
 use crate::protocol::{
-    read_response, write_request, ErrorCode, MetricsReply, Request, Response, StatsReply,
+    encode_request, read_response, ErrorCode, MetricsReply, Request, Response, StatsReply,
     TxnHandle,
 };
 
@@ -30,6 +29,10 @@ pub enum ClientError {
     /// The peer spoke the protocol incorrectly (bad frame, wrong
     /// correlation id, response type mismatch); connection unusable.
     Protocol(String),
+    /// The client refused to send the request because its frame would
+    /// exceed [`MAX_FRAME_LEN`](crate::protocol::MAX_FRAME_LEN). Nothing
+    /// reached the wire; the connection remains usable.
+    Refused(io::Error),
     /// The server executed the request and reported a failure. The
     /// connection remains usable.
     Server {
@@ -64,9 +67,10 @@ impl ClientError {
     }
 
     /// True when the connection must be discarded (transport or protocol
-    /// failure, as opposed to a clean server-side error reply).
+    /// failure, as opposed to a clean server-side error reply or a refused
+    /// send) — exactly the errors after which `is_poisoned()` holds.
     pub fn poisons_connection(&self) -> bool {
-        !matches!(self, ClientError::Server { .. })
+        matches!(self, ClientError::Io(_) | ClientError::Protocol(_))
     }
 }
 
@@ -75,6 +79,7 @@ impl std::fmt::Display for ClientError {
         match self {
             ClientError::Io(e) => write!(f, "transport error: {e}"),
             ClientError::Protocol(msg) => write!(f, "protocol violation: {msg}"),
+            ClientError::Refused(e) => write!(f, "request refused: {e}"),
             ClientError::Server { code, message } => {
                 write!(f, "server error ({code}): {message}")
             }
@@ -85,7 +90,7 @@ impl std::fmt::Display for ClientError {
 impl std::error::Error for ClientError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            ClientError::Io(e) => Some(e),
+            ClientError::Io(e) | ClientError::Refused(e) => Some(e),
             _ => None,
         }
     }
@@ -101,12 +106,12 @@ impl From<io::Error> for ClientError {
 pub type ClientResult<T> = Result<T, ClientError>;
 
 /// Default socket read/write timeout applied by [`Client::connect`] and
-/// [`ClientPool::connect`]. Generous enough that no healthy request —
-/// including a semi-sync commit waiting out its replica-acknowledgement
-/// window — ever trips it, but bounded, so a hung or partitioned server
-/// surfaces an error instead of blocking the caller forever. Opt out with
-/// [`Client::connect_unbounded`] or pass an explicit timeout (or `None`)
-/// to [`Client::connect_with_timeout`].
+/// [`PipelinedClient::connect`](crate::PipelinedClient::connect). Generous
+/// enough that no healthy request — including a semi-sync commit waiting
+/// out its replica-acknowledgement window — ever trips it, but bounded, so
+/// a hung or partitioned server surfaces an error instead of blocking the
+/// caller forever. Pass an explicit timeout (or `None` to opt out) to
+/// [`Client::connect_with_timeout`].
 pub const DEFAULT_IO_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// A remote transaction held by a [`Client`].
@@ -139,38 +144,16 @@ pub struct Client {
     next_corr: u64,
     scratch: Vec<u8>,
     poisoned: bool,
-    /// Handles of transactions begun on this connection and not yet
-    /// committed/aborted. The server session holds their epoch pins and
-    /// vertex locks for as long as the *connection* lives, so a pooled
-    /// connection must roll these back before it is lent out again.
-    open_txns: Vec<u32>,
-    /// Correlation ids of requests sent whose replies have not been fully
-    /// consumed, in send order, with a flag for streaming (`Neighbors`)
-    /// replies. Normally empty between public calls — but a caller that
-    /// panics between send and receive (or abandons a connection
-    /// mid-operation) leaves entries here, and a pooled connection with
-    /// unconsumed replies MUST drain or discard them before it is lent to
-    /// the next borrower, who would otherwise read the previous borrower's
-    /// stale frames.
-    pending_replies: Vec<(u64, bool)>,
 }
 
 impl Client {
     /// Connects to a LiveGraph server with the default socket timeout
     /// ([`DEFAULT_IO_TIMEOUT`]): a request against a hung or partitioned
     /// server errors out (poisoning the connection) instead of blocking
-    /// the caller forever. Use [`Client::connect_unbounded`] to opt out,
-    /// or [`Client::connect_with_timeout`] to choose the bound.
+    /// the caller forever. Use [`Client::connect_with_timeout`] to choose
+    /// the bound or opt out.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
         Self::connect_with_timeout(addr, Some(DEFAULT_IO_TIMEOUT))
-    }
-
-    /// Connects with socket timeouts explicitly disabled: a hung server
-    /// blocks the caller indefinitely. Only for callers that knowingly
-    /// wait unboundedly (e.g. an operator console attached to a server
-    /// that may stall for minutes under maintenance).
-    pub fn connect_unbounded(addr: impl ToSocketAddrs) -> io::Result<Client> {
-        Self::connect_with_timeout(addr, None)
     }
 
     /// Connects with a read/write timeout on the underlying socket: a
@@ -191,8 +174,6 @@ impl Client {
             next_corr: 1,
             scratch: Vec::with_capacity(256),
             poisoned: false,
-            open_txns: Vec::new(),
-            pending_replies: Vec::new(),
         })
     }
 
@@ -219,20 +200,15 @@ impl Client {
     fn send(&mut self, req: &Request) -> ClientResult<u64> {
         let corr = self.next_corr;
         self.next_corr += 1;
-        let sent = write_request(&mut self.writer, corr, req)
-            .and_then(|()| self.writer.flush());
+        // An oversized frame is refused before any byte is written, so the
+        // stream stays in sync and the connection is not poisoned.
+        let frame = encode_request(corr, req).map_err(ClientError::Refused)?;
+        let sent = self.writer.write_all(&frame).and_then(|()| self.writer.flush());
         if let Err(e) = sent {
             self.poisoned = true;
             return Err(e.into());
         }
-        self.pending_replies
-            .push((corr, matches!(req, Request::Neighbors { .. })));
         Ok(corr)
-    }
-
-    /// Marks `corr`'s reply as fully consumed.
-    fn complete(&mut self, corr: u64) {
-        self.pending_replies.retain(|&(c, _)| c != corr);
     }
 
     fn recv(&mut self, corr: u64) -> ClientResult<Response> {
@@ -262,9 +238,7 @@ impl Client {
     /// One request, one response.
     fn roundtrip(&mut self, req: &Request) -> ClientResult<Response> {
         let corr = self.send(req)?;
-        let resp = self.recv(corr)?;
-        self.complete(corr);
-        match resp {
+        match self.recv(corr)? {
             Response::Error { code, message } => Err(ClientError::Server { code, message }),
             resp => Ok(resp),
         }
@@ -304,43 +278,13 @@ impl Client {
 
     fn begin(&mut self, req: &Request) -> ClientResult<RemoteTxn> {
         match self.roundtrip(req)? {
-            Response::TxnBegun { txn, epoch } => {
-                self.open_txns.push(txn.0);
-                Ok(RemoteTxn { handle: txn, epoch })
-            }
+            Response::TxnBegun { txn, epoch } => Ok(RemoteTxn { handle: txn, epoch }),
             other => self.unexpected("TxnBegun", &other),
-        }
-    }
-
-    /// True while this connection holds server-side transactions that were
-    /// begun but neither committed nor aborted.
-    pub fn has_open_txns(&self) -> bool {
-        !self.open_txns.is_empty()
-    }
-
-    /// Best-effort rollback of every open transaction (used by
-    /// [`ClientPool`] before re-pooling a connection). Server-side errors
-    /// (e.g. a handle the server already aborted) are ignored; transport
-    /// errors poison the connection as usual.
-    fn rollback_open_txns(&mut self) {
-        while let Some(handle) = self.open_txns.pop() {
-            if self.poisoned {
-                return;
-            }
-            match self.roundtrip(&Request::Abort {
-                txn: TxnHandle(handle),
-            }) {
-                Ok(_) | Err(ClientError::Server { .. }) => {}
-                Err(_) => return, // poisoned; the pool will discard it
-            }
         }
     }
 
     /// Commits; returns the commit epoch.
     pub fn commit(&mut self, txn: RemoteTxn) -> ClientResult<Timestamp> {
-        // The server removes the slot whether or not the commit succeeds
-        // (error => abort), so the handle is closed either way.
-        self.open_txns.retain(|&h| h != txn.handle.0);
         match self.roundtrip(&Request::Commit { txn: txn.handle })? {
             Response::Committed { epoch } => Ok(epoch),
             other => self.unexpected("Committed", &other),
@@ -349,7 +293,6 @@ impl Client {
 
     /// Aborts, rolling back all of the transaction's updates.
     pub fn abort(&mut self, txn: RemoteTxn) -> ClientResult<()> {
-        self.open_txns.retain(|&h| h != txn.handle.0);
         match self.roundtrip(&Request::Abort { txn: txn.handle })? {
             Response::Aborted => Ok(()),
             other => self.unexpected("Aborted", &other),
@@ -517,49 +460,14 @@ impl Client {
                 Response::NeighborChunk { dsts: chunk, last } => {
                     dsts.extend_from_slice(&chunk);
                     if last {
-                        self.complete(corr);
                         return Ok(dsts);
                     }
                 }
                 Response::Error { code, message } => {
-                    self.complete(corr);
                     return Err(ClientError::Server { code, message });
                 }
                 other => return self.unexpected("NeighborChunk", &other),
             }
-        }
-    }
-
-    /// True while a request's reply has been sent for but not fully read
-    /// (see the `pending_replies` field — only possible after a panic or
-    /// abandonment mid-operation).
-    pub fn has_pending_replies(&self) -> bool {
-        !self.pending_replies.is_empty()
-    }
-
-    /// Reads and discards every pending reply, in send order, so the
-    /// stream position is clean again. A transport/protocol error while
-    /// draining poisons the connection as usual (the pool then discards
-    /// it); on success the connection is safe to lend out.
-    fn drain_pending_replies(&mut self) {
-        while let Some(&(corr, streaming)) = self.pending_replies.first() {
-            if self.poisoned {
-                return;
-            }
-            loop {
-                match self.recv(corr) {
-                    Err(_) => return, // poisoned; the pool will discard it
-                    Ok(Response::NeighborChunk { last, .. }) if streaming => {
-                        if last {
-                            break;
-                        }
-                    }
-                    // Any non-chunk frame (including an error reply) is
-                    // terminal for both streaming and unary requests.
-                    Ok(_) => break,
-                }
-            }
-            self.pending_replies.remove(0);
         }
     }
 
@@ -613,161 +521,13 @@ fn handle_of(txn: Option<RemoteTxn>) -> TxnHandle {
     txn.map(|t| t.handle).unwrap_or(TxnHandle::AUTO)
 }
 
-// ---------------------------------------------------------------------------
-// Connection pool
-// ---------------------------------------------------------------------------
-
-/// Re-dial attempts when a checkout must replace a poisoned (or missing)
-/// connection. Dials back off exponentially with jitter between attempts,
-/// so a pool whose server just restarted rides out the gap instead of
-/// failing every checkout during it.
-const DIAL_ATTEMPTS: usize = 5;
-
-/// First re-dial backoff; doubles per failed attempt up to
-/// [`DIAL_BACKOFF_CAP`], jittered ±50% so concurrent workers spread out.
-const DIAL_BACKOFF: Duration = Duration::from_millis(25);
-
-/// Re-dial backoff cap.
-const DIAL_BACKOFF_CAP: Duration = Duration::from_millis(400);
-
-/// A pool of client connections to one server, lent out to concurrent
-/// workers. Poisoned connections are discarded instead of returned; a
-/// checkout from an empty pool dials a fresh connection, retrying with
-/// capped exponential backoff + jitter if the server is momentarily away.
-pub struct ClientPool {
-    addr: std::net::SocketAddr,
-    io_timeout: Option<Duration>,
-    idle: Mutex<Vec<Client>>,
-}
-
-impl ClientPool {
-    /// Dials `initial` connections to `addr` eagerly (so steady-state
-    /// benchmarks never measure connection setup), with the default socket
-    /// timeout ([`DEFAULT_IO_TIMEOUT`]) on every connection.
-    pub fn connect(addr: impl ToSocketAddrs, initial: usize) -> io::Result<ClientPool> {
-        Self::connect_with_timeout(addr, initial, Some(DEFAULT_IO_TIMEOUT))
-    }
-
-    /// Like [`ClientPool::connect`], but every pooled connection carries a
-    /// socket read/write timeout (see [`Client::connect_with_timeout`]).
-    pub fn connect_with_timeout(
-        addr: impl ToSocketAddrs,
-        initial: usize,
-        io_timeout: Option<Duration>,
-    ) -> io::Result<ClientPool> {
-        let addr = addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no address resolved"))?;
-        let pool = ClientPool {
-            addr,
-            io_timeout,
-            idle: Mutex::new(Vec::with_capacity(initial)),
-        };
-        for _ in 0..initial {
-            // Eager dials fail fast (no retry loop): at construction time a
-            // dead server is a configuration error, not a transient fault.
-            let client = Client::connect_with_timeout(addr, io_timeout)?;
-            pool.idle.lock().push(client);
-        }
-        Ok(pool)
-    }
-
-    /// The server address this pool dials.
-    pub fn addr(&self) -> std::net::SocketAddr {
-        self.addr
-    }
-
-    /// Dials a replacement connection with capped exponential backoff +
-    /// jitter: checkouts right after a server restart (every pooled
-    /// connection poisoned at once) reconnect instead of erroring out.
-    fn dial(&self) -> io::Result<Client> {
-        let mut backoff = DIAL_BACKOFF;
-        let mut last_err = None;
-        for attempt in 0..DIAL_ATTEMPTS {
-            if attempt > 0 {
-                std::thread::sleep(crate::replication::jittered(backoff));
-                backoff = (backoff * 2).min(DIAL_BACKOFF_CAP);
-            }
-            match Client::connect_with_timeout(self.addr, self.io_timeout) {
-                Ok(client) => return Ok(client),
-                Err(e) => last_err = Some(e),
-            }
-        }
-        Err(last_err.expect("at least one dial attempted"))
-    }
-
-    /// Checks out a connection (dialing a new one if the pool is empty).
-    pub fn get(&self) -> io::Result<PooledClient<'_>> {
-        let existing = self.idle.lock().pop();
-        let client = match existing {
-            Some(client) => client,
-            None => self.dial()?,
-        };
-        Ok(PooledClient {
-            client: Some(client),
-            pool: self,
-        })
-    }
-
-    /// Connections currently idle in the pool.
-    pub fn idle_count(&self) -> usize {
-        self.idle.lock().len()
-    }
-}
-
-/// A pooled connection; returns to the pool on drop unless poisoned.
-pub struct PooledClient<'p> {
-    client: Option<Client>,
-    pool: &'p ClientPool,
-}
-
-impl Drop for PooledClient<'_> {
-    fn drop(&mut self) {
-        if let Some(mut client) = self.client.take() {
-            // A borrower that panicked (or abandoned the connection)
-            // mid-operation may return it with replies still on the wire.
-            // Those MUST be consumed first: re-pooling as-is would hand the
-            // next borrower stale frames, and the rollback below would read
-            // them itself and mistake them for its own replies.
-            if client.has_pending_replies() {
-                client.drain_pending_replies();
-            }
-            // A worker that errored out (or just forgot) may return the
-            // connection with transactions still open; the server session
-            // holds their epoch pins and vertex locks for as long as the
-            // connection lives, so roll them back before re-pooling. A
-            // rollback that fails poisons the client and it is discarded.
-            if client.has_open_txns() {
-                client.rollback_open_txns();
-            }
-            if !client.is_poisoned() {
-                self.pool.idle.lock().push(client);
-            }
-        }
-    }
-}
-
-impl std::ops::Deref for PooledClient<'_> {
-    type Target = Client;
-
-    fn deref(&self) -> &Client {
-        self.client.as_ref().expect("client present until drop")
-    }
-}
-
-impl std::ops::DerefMut for PooledClient<'_> {
-    fn deref_mut(&mut self) -> &mut Client {
-        self.client.as_mut().expect("client present until drop")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::Engine;
+    use crate::protocol::MAX_FRAME_LEN;
     use crate::server::{Server, ServerConfig};
-    use livegraph_core::{LiveGraph, LiveGraphOptions, DEFAULT_LABEL};
+    use livegraph_core::{LiveGraph, LiveGraphOptions};
     use std::sync::Arc;
 
     fn start_server() -> Server {
@@ -782,10 +542,10 @@ mod tests {
         Server::start(engine, "127.0.0.1:0", ServerConfig::default()).unwrap()
     }
 
-    /// Pins the satellite-1 fix: `Client::connect` must apply the bounded
-    /// default timeout, and the unbounded variant must be an explicit
-    /// opt-in — verified against a server that accepts connections but
-    /// never replies, where an unbounded read would hang forever.
+    /// `Client::connect` must apply the bounded default timeout, and an
+    /// unbounded connection must be an explicit opt-in — verified against
+    /// a server that accepts connections but never replies, where an
+    /// unbounded read would hang forever.
     #[test]
     fn connect_default_timeout_is_bounded_against_silent_server() {
         // A listener that never calls accept: the kernel completes the
@@ -800,11 +560,11 @@ mod tests {
             Some(DEFAULT_IO_TIMEOUT),
             "default connect must carry the bounded timeout"
         );
-        let unbounded = Client::connect_unbounded(addr).unwrap();
+        let unbounded = Client::connect_with_timeout(addr, None).unwrap();
         assert_eq!(
             unbounded.io_timeout().unwrap(),
             None,
-            "unbounded connect is the explicit opt-out"
+            "a `None` timeout is the explicit opt-out"
         );
 
         // With a short timeout the hang becomes a surfaced, poisoning
@@ -815,72 +575,21 @@ mod tests {
         assert!(client.is_poisoned());
     }
 
-    /// Satellite-3 regression: a pooled connection returned with a sent
-    /// request whose reply was never read (borrower panicked between send
-    /// and receive) must drain the stale frame before re-pooling; the next
-    /// borrower must never see it.
+    /// A frame over `MAX_FRAME_LEN` is refused before any byte is written:
+    /// the request fails, the connection stays healthy and in sync.
     #[test]
-    fn pooled_connection_with_unconsumed_reply_is_drained_before_reuse() {
+    fn oversized_request_is_refused_without_poisoning() {
         let server = start_server();
-        let pool = ClientPool::connect(server.local_addr(), 1).unwrap();
-
-        {
-            let mut borrowed = pool.get().unwrap();
-            // Simulate a borrower dying between send and recv.
-            borrowed.send(&Request::Ping).unwrap();
-            assert!(borrowed.has_pending_replies());
-        } // drop: must drain the in-flight Pong, then re-pool
-
-        assert_eq!(pool.idle_count(), 1, "drained connection returns to pool");
-        let mut again = pool.get().unwrap();
-        assert!(!again.has_pending_replies());
-        // Without the drain this read would pick up the stale Pong with the
-        // previous borrower's correlation id and poison the connection.
-        again.ping().expect("next borrower sees a clean stream");
-        let v = again.create_vertex_auto(b"clean").unwrap();
-        assert_eq!(again.get_vertex(None, v).unwrap().unwrap(), b"clean");
-        drop(again);
-        server.shutdown();
-    }
-
-    /// Same, for a streaming reply: an abandoned `Neighbors` request spans
-    /// multiple chunk frames, all of which must be consumed.
-    #[test]
-    fn pooled_connection_with_unconsumed_neighbor_stream_is_drained() {
-        let server = start_server();
-        let pool = ClientPool::connect(server.local_addr(), 1).unwrap();
-
-        let hub = {
-            let mut c = pool.get().unwrap();
-            let hub = c.create_vertex_auto(b"hub").unwrap();
-            let txn = c.begin_write().unwrap();
-            for _ in 0..(crate::session::NEIGHBOR_CHUNK_DSTS + 10) {
-                let dst = c.create_vertex(txn, b"d").unwrap();
-                c.put_edge(Some(txn), hub, DEFAULT_LABEL, dst, b"").unwrap();
-            }
-            c.commit(txn).unwrap();
-            hub
-        };
-
-        {
-            let mut borrowed = pool.get().unwrap();
-            borrowed
-                .send(&Request::Neighbors {
-                    txn: TxnHandle::AUTO,
-                    vertex: hub,
-                    label: DEFAULT_LABEL,
-                    limit: 0,
-                })
-                .unwrap();
-        } // drop: must drain a multi-chunk stream
-
-        let mut again = pool.get().unwrap();
-        again.ping().expect("stream fully drained");
-        assert_eq!(
-            again.neighbors(None, hub, DEFAULT_LABEL, 0).unwrap().len(),
-            crate::session::NEIGHBOR_CHUNK_DSTS + 10
-        );
-        drop(again);
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let v = client.create_vertex_auto(b"v").unwrap();
+        let huge = vec![0u8; MAX_FRAME_LEN as usize + 1];
+        let err = client.put_vertex(None, v, &huge).expect_err("frame too large");
+        assert!(matches!(err, ClientError::Refused(_)), "got {err}");
+        assert!(!err.poisons_connection());
+        assert!(!client.is_poisoned());
+        client.ping().expect("connection still usable");
+        assert_eq!(client.get_vertex(None, v).unwrap().unwrap(), b"v");
+        drop(client);
         server.shutdown();
     }
 }

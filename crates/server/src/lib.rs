@@ -3,8 +3,9 @@
 //! Turns the in-process LiveGraph engine into a networked service: a
 //! length-prefixed binary wire protocol with correlation ids (so clients
 //! can pipeline), a thread-pooled TCP server mapping client connections
-//! onto server-side sessions of engine transactions, and a blocking client
-//! library with connection pooling.
+//! onto server-side sessions of engine transactions, an event-driven
+//! reactor server, and two clients: a blocking one for explicit
+//! transactions and a pipelined one that threads share.
 //!
 //! * [`protocol`] — frame format, request/response types, codecs;
 //! * [`Engine`] — the hosted engine (plain [`livegraph_core::LiveGraph`]
@@ -13,7 +14,9 @@
 //!   `livegraph-serve` binary);
 //! * [`Session`] — the per-connection transaction table (public for tests
 //!   and embedding);
-//! * [`Client`] / [`ClientPool`] — the blocking client;
+//! * [`Client`] — the blocking, one-thread client (explicit transactions);
+//! * [`PipelinedClient`] — one connection shared by many threads with
+//!   requests in flight, the transport of the remote LinkBench driver;
 //! * [`replication`] — WAL-shipping replication: epoch-consistent read
 //!   replicas, semi-sync commit acknowledgement, failover promotion, and a
 //!   fault-injecting link proxy for chaos tests;
@@ -72,9 +75,7 @@ pub use pipeline::{demux_wait, Demux, Reply};
 #[doc(hidden)]
 pub use server::ConnQueue;
 
-pub use client::{
-    Client, ClientError, ClientPool, ClientResult, PooledClient, RemoteTxn, DEFAULT_IO_TIMEOUT,
-};
+pub use client::{Client, ClientError, ClientResult, RemoteTxn, DEFAULT_IO_TIMEOUT};
 pub use engine::Engine;
 pub use metrics_http::{render_exposition, MetricsExporter};
 pub use pipeline::{PipelinedClient, DEFAULT_PIPELINE_DEPTH};

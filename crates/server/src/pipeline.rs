@@ -23,12 +23,18 @@
 //! from: per-request syscalls and thread hand-offs, not bandwidth,
 //! dominate loopback RTT.
 //!
+//! This is the transport of the remote LinkBench driver
+//! (`livegraph_workloads::RemoteBackend`): a fixed set of these
+//! connections, shared by every driver thread, re-dialed in place when one
+//! is poisoned. With `depth = 1` it degenerates to request/response.
+//!
 //! Poisoning semantics are preserved from the blocking client, widened to
 //! the connection: a transport error, unexpected correlation id, or
 //! mid-stream hangup poisons the *whole* client, failing every in-flight
 //! and future request (their slots resolve to the poison error). A
 //! server-reported [`Response::Error`] resolves only its own request and
-//! leaves the connection healthy.
+//! leaves the connection healthy, as does a request refused for exceeding
+//! the frame size limit (it never reaches the wire).
 //!
 //! All typed helpers run in auto-commit mode ([`TxnHandle::AUTO`]):
 //! explicit transaction handles live in a per-connection server session,
@@ -40,14 +46,13 @@
 use std::collections::HashMap;
 use std::io::{self, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::time::Duration;
 
 use livegraph_core::sync::{Condvar, Mutex};
 use livegraph_core::types::{Label, VertexId};
 
 use crate::client::{ClientError, ClientResult, DEFAULT_IO_TIMEOUT};
 use crate::protocol::{
-    read_response, write_request, Request, Response, StatsReply, TxnHandle,
+    encode_request, read_response, MetricsReply, Request, Response, StatsReply, TxnHandle,
 };
 
 /// Default in-flight request cap per connection.
@@ -232,25 +237,15 @@ pub struct PipelinedClient {
 
 impl PipelinedClient {
     /// Connects with up to `depth` requests in flight and the default
-    /// socket timeout ([`DEFAULT_IO_TIMEOUT`]).
+    /// socket timeout ([`DEFAULT_IO_TIMEOUT`]). The read timeout only
+    /// poisons the connection when requests are actually awaiting replies;
+    /// an idle connection never reads the socket, so it sits through any
+    /// stretch of silence unharmed.
     pub fn connect(addr: impl ToSocketAddrs, depth: usize) -> io::Result<PipelinedClient> {
-        Self::connect_with_timeout(addr, depth, Some(DEFAULT_IO_TIMEOUT))
-    }
-
-    /// Connects with an explicit socket read/write timeout (`None`
-    /// disables timeouts entirely). The read timeout only poisons the
-    /// connection when requests are actually awaiting replies; an idle
-    /// connection never reads the socket, so it sits through any stretch
-    /// of silence unharmed.
-    pub fn connect_with_timeout(
-        addr: impl ToSocketAddrs,
-        depth: usize,
-        io_timeout: Option<Duration>,
-    ) -> io::Result<PipelinedClient> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        stream.set_read_timeout(io_timeout)?;
-        stream.set_write_timeout(io_timeout)?;
+        stream.set_read_timeout(Some(DEFAULT_IO_TIMEOUT))?;
+        stream.set_write_timeout(Some(DEFAULT_IO_TIMEOUT))?;
         let read_half = ReadHalf {
             reader: BufReader::new(stream.try_clone()?),
             scratch: Vec::with_capacity(256),
@@ -302,13 +297,19 @@ impl PipelinedClient {
             }
             demux.register()
         };
+        let frame = match encode_request(corr, req) {
+            Ok(frame) => frame,
+            Err(e) => {
+                // Oversized: refused before reaching the shared buffer, so
+                // only this request fails; the connection stays healthy.
+                // Freeing the slot may unblock a depth-bound submitter.
+                self.demux.lock().slots.remove(&corr);
+                self.cv.notify_all();
+                return Err(ClientError::Refused(e));
+            }
+        };
         let mut out = self.out.lock();
-        if let Err(e) = write_request(&mut out.buf, corr, req) {
-            // Serialization into the Vec failed mid-frame: the buffer may
-            // hold a partial frame, condemning the connection.
-            drop(out);
-            return Err(self.fail_submit(corr, e));
-        }
+        out.buf.extend_from_slice(&frame);
         if out.flushing {
             // The active leader's drain loop is guaranteed to see this
             // frame before it gives up leadership.
@@ -320,9 +321,12 @@ impl PipelinedClient {
         // reply batch) append their frames into this same flush. They see
         // `flushing == true` and skip straight to `wait`, where one of
         // them takes read duty while this thread writes the whole batch.
-        drop(out);
-        std::thread::yield_now();
-        out = self.out.lock();
+        // At depth 1 no other request can be in flight to join, so skip it.
+        if self.depth > 1 {
+            drop(out);
+            std::thread::yield_now();
+            out = self.out.lock();
+        }
         let mut local = std::mem::take(&mut out.spare);
         loop {
             std::mem::swap(&mut out.buf, &mut local);
@@ -336,7 +340,12 @@ impl PipelinedClient {
                 out.flushing = false;
                 out.spare = local;
                 drop(out);
-                return Err(self.fail_submit(corr, e));
+                let mut demux = self.demux.lock();
+                demux.slots.remove(&corr);
+                demux.poison(Poison::Io(e.kind(), e.to_string()));
+                drop(demux);
+                self.cv.notify_all();
+                return Err(e.into());
             }
             if out.buf.is_empty() {
                 out.flushing = false;
@@ -344,16 +353,6 @@ impl PipelinedClient {
                 return Ok(corr);
             }
         }
-    }
-
-    /// Submit-side failure: drops `corr`'s slot, poisons, and reports.
-    fn fail_submit(&self, corr: u64, e: io::Error) -> ClientError {
-        let mut demux = self.demux.lock();
-        demux.slots.remove(&corr);
-        demux.poison(Poison::Io(e.kind(), e.to_string()));
-        drop(demux);
-        self.cv.notify_all();
-        e.into()
     }
 
     /// Blocks until `corr`'s reply is complete (or the connection dies).
@@ -587,6 +586,15 @@ impl PipelinedClient {
             other => Err(unexpected("Stats", &other)),
         }
     }
+
+    /// Admin: full telemetry snapshot — every counter, gauge and latency
+    /// histogram the server's registry holds (flattened across shards).
+    pub fn metrics_dump(&self) -> ClientResult<MetricsReply> {
+        match self.one(&Request::MetricsDump, "Metrics")? {
+            Response::Metrics(metrics) => Ok(metrics),
+            other => Err(unexpected("Metrics", &other)),
+        }
+    }
 }
 
 /// The wait/reader-election loop behind [`PipelinedClient`]: blocks until
@@ -669,6 +677,7 @@ fn buffered_frame_complete(reader: &BufReader<TcpStream>) -> bool {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
     use crate::engine::Engine;
     use crate::reactor::{ReactorConfig, ReactorServer};
     use livegraph_core::{LiveGraph, LiveGraphOptions, DEFAULT_LABEL};
@@ -926,6 +935,39 @@ mod tests {
             }
         }
         server.join().unwrap();
+    }
+
+    /// An oversized request fails alone: the shared connection is not
+    /// poisoned, and other threads' requests keep succeeding on it.
+    #[test]
+    fn oversized_request_fails_alone_without_poisoning() {
+        let server = start_reactor();
+        let client = Arc::new(PipelinedClient::connect(server.local_addr(), 8).unwrap());
+        let v = client.create_vertex_auto(b"v").unwrap();
+        let pingers: Vec<_> = (0..3)
+            .map(|_| {
+                let client = Arc::clone(&client);
+                std::thread::spawn(move || {
+                    for _ in 0..200 {
+                        client.ping().expect("concurrent ping on the shared connection");
+                    }
+                })
+            })
+            .collect();
+        let huge = vec![0u8; crate::protocol::MAX_FRAME_LEN as usize + 1];
+        for _ in 0..3 {
+            let err = client.put_vertex(v, &huge).expect_err("frame too large");
+            assert!(matches!(err, ClientError::Refused(_)), "got {err}");
+            assert!(!err.poisons_connection());
+            assert!(!client.is_poisoned());
+        }
+        for p in pingers {
+            p.join().unwrap();
+        }
+        client.ping().expect("connection still usable");
+        assert_eq!(client.get_vertex(v).unwrap().unwrap(), b"v");
+        drop(client);
+        server.shutdown();
     }
 
     #[test]

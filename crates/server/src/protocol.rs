@@ -1112,7 +1112,9 @@ impl Response {
 /// Mandatory bytes of every frame body: correlation id + kind byte.
 const FRAME_MIN: u32 = 9;
 
-fn write_frame(w: &mut impl Write, corr: u64, encode_kind: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
+/// Encodes one complete frame. The size check is the only failure, and it
+/// fires before anything is written anywhere.
+fn encode_frame(corr: u64, encode_kind: impl FnOnce(&mut Vec<u8>)) -> io::Result<Vec<u8>> {
     let mut buf = Vec::with_capacity(64);
     buf.extend_from_slice(&[0u8; 4]); // length placeholder
     put_u64(&mut buf, corr);
@@ -1128,7 +1130,18 @@ fn write_frame(w: &mut impl Write, corr: u64, encode_kind: impl FnOnce(&mut Vec<
         ));
     }
     buf[..4].copy_from_slice(&(len as u32).to_le_bytes());
-    w.write_all(&buf)
+    Ok(buf)
+}
+
+fn write_frame(w: &mut impl Write, corr: u64, encode_kind: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
+    w.write_all(&encode_frame(corr, encode_kind)?)
+}
+
+/// Encodes one request frame without writing it. An `Err` means the frame
+/// exceeds [`MAX_FRAME_LEN`]: the request was refused before reaching any
+/// stream, so a client may report it without condemning its connection.
+pub fn encode_request(corr: u64, req: &Request) -> io::Result<Vec<u8>> {
+    encode_frame(corr, |buf| req.encode(buf))
 }
 
 /// Reads one frame, returning `(corr, body)` where `body` starts at the

@@ -82,8 +82,8 @@ const HEARTBEAT: Duration = Duration::from_millis(100);
 
 /// Multiplies `d` by a uniform factor in `[0.5, 1.5)` so synchronized
 /// retry storms (every replica re-dialing a rebooted primary in lockstep)
-/// spread out.
-pub(crate) fn jittered(d: Duration) -> Duration {
+/// spread out. Also paces `RemoteBackend`'s re-dials in the workloads crate.
+pub fn jittered(d: Duration) -> Duration {
     let nanos = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|t| t.subsec_nanos() as u64 ^ t.as_secs())

@@ -146,10 +146,10 @@ pub struct ServerConfig {
     /// sessions; further connections queue).
     ///
     /// Size this **at or above the expected number of concurrently
-    /// connected long-lived clients** (e.g. a `ClientPool`'s connection
+    /// connected long-lived clients** (e.g. a `RemoteBackend`'s connection
     /// count): a persistent session beyond this count waits in the accept
-    /// queue until some other session *disconnects*, which for a pool that
-    /// never hangs up is a deadlock. The queue exists to absorb bursts of
+    /// queue until some other session *disconnects*, which for a client
+    /// that never hangs up is a deadlock. The queue exists to absorb bursts of
     /// short-lived connections, not to multiplex persistent ones.
     pub workers: usize,
     /// Set `TCP_NODELAY` on accepted sockets (request/response workloads

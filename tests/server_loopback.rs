@@ -321,57 +321,6 @@ fn reactor_disconnect_mid_write_txn_leaves_no_locks_or_epoch_pins() {
     server.shutdown();
 }
 
-/// A pooled connection returned with a transaction still open must not
-/// leak its server-side epoch pin / vertex locks into the idle pool: the
-/// pool keeps the TCP connection (and so the server session) alive, so
-/// `PooledClient`'s drop rolls open transactions back before re-pooling.
-#[test]
-fn pooled_connection_returned_with_open_txn_rolls_it_back() {
-    use livegraph::server::ClientPool;
-
-    let (engine, server) = start(Engine::Plain(small_graph()), 2);
-    let graph = engine.as_plain().unwrap();
-
-    let mut setup = Client::connect(server.local_addr()).unwrap();
-    let txn = setup.begin_write().unwrap();
-    let a = setup.create_vertex(txn, b"a").unwrap();
-    let b = setup.create_vertex(txn, b"b").unwrap();
-    setup.commit(txn).unwrap();
-    drop(setup);
-
-    let pool = ClientPool::connect(server.local_addr(), 1).unwrap();
-    {
-        // A worker errors out mid-transaction and returns the connection
-        // without commit/abort (the early-`?` shape).
-        let mut client = pool.get().unwrap();
-        let txn = client.begin_write().unwrap();
-        client
-            .put_edge(Some(txn), a, DEFAULT_LABEL, b, b"never-committed")
-            .unwrap();
-        assert!(graph.oldest_active_read_epoch().is_some());
-    }
-    assert_eq!(pool.idle_count(), 1, "healthy connection re-pooled");
-    // No disconnect happened — cleanup must come from the return itself.
-    assert!(
-        graph.oldest_active_read_epoch().is_none(),
-        "pool return rolled the open transaction back"
-    );
-    // The vertex lock is free: an in-process writer acquires it at once,
-    // and the abandoned write never became visible.
-    let mut w = graph.begin_write().unwrap();
-    w.put_edge(a, DEFAULT_LABEL, b, b"after-return").unwrap();
-    w.commit().unwrap();
-    let read = graph.begin_read().unwrap();
-    assert_eq!(read.get_edge(a, DEFAULT_LABEL, b), Some(&b"after-return"[..]));
-
-    // The re-pooled connection is still perfectly usable.
-    let mut client = pool.get().unwrap();
-    client.ping().unwrap();
-    drop(client);
-    drop(pool);
-    server.shutdown();
-}
-
 #[test]
 fn disconnect_with_open_read_txn_releases_its_pin() {
     let (engine, server) = start(Engine::Plain(small_graph()), 2);
@@ -421,7 +370,7 @@ fn driver_dflt_mix_through_remote_backend_matches_in_process() {
     // Identical run through the service layer.
     let (_engine, server) = start(Engine::Plain(small_graph()), 3);
     let remote_backend =
-        Arc::new(RemoteBackend::connect(server.local_addr(), config.clients).unwrap());
+        Arc::new(RemoteBackend::connect(server.local_addr(), config.clients, 1).unwrap());
     load_base_graph(remote_backend.as_ref(), VERTICES, 2, 3);
     let remote_report = run_workload(Arc::clone(&remote_backend) as _, &config);
 
