@@ -11,13 +11,17 @@
 //! `CreateVertex` per visible vertex and one `PutEdge` per visible edge.
 //! This keeps one serialisation format for everything that crosses a crash
 //! boundary.
+//!
+//! Recovery streams both files frame by frame ([`for_each_record`]), with
+//! ops borrowed from one reused read buffer, and replays them through
+//! write transactions that build no WAL ops of their own.
 
 use std::path::{Path, PathBuf};
 
 use crate::error::{Error, Result};
 use crate::graph::GraphInner;
 use crate::types::{Timestamp, VertexId};
-use crate::wal::{read_wal, SyncMode, WalOp, WalRecord, WalWriter};
+use crate::wal::{for_each_record, sync_dir, SyncMode, WalOp, WalOpRef, WalRecord, WalWriter};
 
 /// Number of operations bundled per checkpoint record / recovery batch.
 const CHECKPOINT_BATCH: usize = 4096;
@@ -46,22 +50,14 @@ pub(crate) fn write_checkpoint(graph: &GraphInner) -> Result<Timestamp> {
     graph.epochs.finish(worker);
     result?;
 
-    // Prune WAL records the checkpoint already covers. Holding the WAL lock
-    // keeps group-commit leaders out while the file is rewritten, and the
-    // writer is re-pointed at the replacement file so later commits are not
-    // lost in the unlinked old inode.
+    // Prune WAL records the checkpoint already covers (`dump_snapshot` made
+    // the checkpoint durable, directory entry included, before returning).
+    // Holding the WAL lock keeps flush leaders out while the file is
+    // rewritten, and the writer is re-pointed at the replacement file so
+    // later commits are not lost in the unlinked old inode.
     graph.commit.with_wal_locked(|wal| -> Result<()> {
         if let Some(wal) = wal {
-            let path = wal_path(&dir);
-            let remaining: Vec<WalRecord> = if path.exists() {
-                read_wal(&path)?
-                    .into_iter()
-                    .filter(|r| r.epoch > snapshot_epoch)
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            wal.rewrite(&remaining)?;
+            wal.prune_through(snapshot_epoch)?;
             // Publish the floor while the WAL lock pins the file contents,
             // so a tail can never observe a pruned log with a stale floor.
             // ORDERING: AcqRel — pairs with the Acquire in
@@ -84,11 +80,10 @@ fn dump_snapshot(graph: &GraphInner, dir: &Path, epoch: Timestamp) -> Result<()>
         if batch.is_empty() {
             return Ok(());
         }
-        writer.append_group(&[WalRecord {
+        writer.append_frames(&[WalRecord {
             epoch,
             ops: std::mem::take(batch),
-        }])?;
-        Ok(())
+        }])
     };
 
     // ORDERING: Acquire — pairs with the AcqRel id-allocation RMWs.
@@ -152,8 +147,12 @@ fn dump_snapshot(graph: &GraphInner, dir: &Path, epoch: Timestamp) -> Result<()>
         }
     }
     flush(&mut batch, &mut writer)?;
+    // One sync for the whole image, then publish it. The directory sync
+    // makes the rename durable: the caller prunes the WAL next, and a
+    // power loss must never keep the prune but lose the checkpoint.
+    writer.sync()?;
     std::fs::rename(&tmp, checkpoint_path(dir))?;
-    Ok(())
+    sync_dir(dir)
 }
 
 /// Recovers graph state from an existing checkpoint and WAL, if present.
@@ -178,25 +177,24 @@ pub(crate) fn recover(graph: &GraphInner) -> Result<()> {
 fn recover_inner(graph: &GraphInner, dir: &Path) -> Result<()> {
     let mut max_epoch: Timestamp = 0;
     let cp = checkpoint_path(dir);
+    // Every checkpoint record carries the snapshot epoch.
     let mut checkpoint_epoch: Timestamp = 0;
     if cp.exists() {
-        let records = read_wal(&cp)?;
-        for record in &records {
-            checkpoint_epoch = checkpoint_epoch.max(record.epoch);
-        }
-        for record in records {
-            apply_record(graph, &record)?;
-        }
+        for_each_record(&cp, |epoch, ops| {
+            checkpoint_epoch = checkpoint_epoch.max(epoch);
+            replay_ops(graph, ops)
+        })?;
         max_epoch = max_epoch.max(checkpoint_epoch);
     }
     let wal = wal_path(dir);
     if wal.exists() {
-        for record in read_wal(&wal)? {
-            if record.epoch > checkpoint_epoch {
-                apply_record(graph, &record)?;
-                max_epoch = max_epoch.max(record.epoch);
+        for_each_record(&wal, |epoch, ops| {
+            if epoch > checkpoint_epoch {
+                replay_ops(graph, ops)?;
+                max_epoch = max_epoch.max(epoch);
             }
-        }
+            Ok(())
+        })?;
     }
     if max_epoch > 0 {
         graph.epochs.reset_to(max_epoch);
@@ -212,14 +210,10 @@ fn recover_inner(graph: &GraphInner, dir: &Path) -> Result<()> {
 
 /// Replays one WAL/checkpoint record through the normal write path.
 /// Recovery mode (set by [`recover`]) suppresses re-logging to the WAL.
-fn apply_record(graph: &GraphInner, record: &WalRecord) -> Result<()> {
-    replay_ops(graph, &record.ops)
-}
-
-fn replay_ops(graph: &GraphInner, ops: &[WalOp]) -> Result<()> {
+fn replay_ops(graph: &GraphInner, ops: &[WalOpRef<'_>]) -> Result<()> {
     for chunk in ops.chunks(CHECKPOINT_BATCH) {
         let mut txn = crate::txn::WriteTxn::begin(graph)?;
-        apply_ops_in(graph, &mut txn, chunk)?;
+        apply_ops_in(graph, &mut txn, chunk.iter().copied())?;
         txn.commit()?;
     }
     Ok(())
@@ -230,38 +224,38 @@ fn replay_ops(graph: &GraphInner, ops: &[WalOp]) -> Result<()> {
 /// memory locality) and replication apply (which must keep all of one
 /// epoch's operations in a single transaction so the replica consumes
 /// exactly one epoch per shipped epoch).
-pub(crate) fn apply_ops_in(
+pub(crate) fn apply_ops_in<'a>(
     graph: &GraphInner,
     txn: &mut crate::txn::WriteTxn<'_>,
-    ops: &[WalOp],
+    ops: impl IntoIterator<Item = WalOpRef<'a>>,
 ) -> Result<()> {
     for op in ops {
         match op {
-            WalOp::CreateVertex { vertex, properties } => {
-                txn.create_vertex_with_id(*vertex, properties)?;
+            WalOpRef::CreateVertex { vertex, properties } => {
+                txn.create_vertex_with_id(vertex, properties)?;
             }
-            WalOp::PutVertex { vertex, properties } => {
-                ensure_vertex(graph, txn, *vertex)?;
-                txn.put_vertex(*vertex, properties)?;
+            WalOpRef::PutVertex { vertex, properties } => {
+                ensure_vertex(graph, txn, vertex)?;
+                txn.put_vertex(vertex, properties)?;
             }
-            WalOp::PutEdge {
+            WalOpRef::PutEdge {
                 src,
                 label,
                 dst,
                 properties,
             } => {
-                ensure_vertex(graph, txn, *src)?;
-                ensure_vertex(graph, txn, *dst)?;
-                txn.put_edge(*src, *label, *dst, properties)?;
+                ensure_vertex(graph, txn, src)?;
+                ensure_vertex(graph, txn, dst)?;
+                txn.put_edge(src, label, dst, properties)?;
             }
-            WalOp::DeleteEdge { src, label, dst } => {
-                if graph.vertex_exists(*src) {
-                    txn.delete_edge(*src, *label, *dst)?;
+            WalOpRef::DeleteEdge { src, label, dst } => {
+                if graph.vertex_exists(src) {
+                    txn.delete_edge(src, label, dst)?;
                 }
             }
-            WalOp::DeleteVertex { vertex } => {
-                ensure_vertex(graph, txn, *vertex)?;
-                txn.delete_vertex(*vertex)?;
+            WalOpRef::DeleteVertex { vertex } => {
+                ensure_vertex(graph, txn, vertex)?;
+                txn.delete_vertex(vertex)?;
             }
         }
     }
@@ -417,6 +411,113 @@ mod tests {
             );
             let r = g.begin_read().unwrap();
             assert_eq!(r.degree(a, 0), 1);
+        }
+    }
+
+    /// Every vertex's payload and label-0 adjacency list (newest first).
+    type State = Vec<(Option<Vec<u8>>, Vec<(u64, Vec<u8>)>)>;
+
+    fn state(g: &LiveGraph) -> State {
+        let r = g.begin_read().unwrap();
+        (0..g.vertex_count())
+            .map(|v| {
+                let edges = r
+                    .edges(v, 0)
+                    .map(|e| (e.dst, e.properties.to_vec()))
+                    .collect();
+                (r.get_vertex(v).map(<[u8]>::to_vec), edges)
+            })
+            .collect()
+    }
+
+    /// Recovery replays through write transactions that build no WAL ops,
+    /// so reopening a graph must leave both files byte-for-byte unchanged
+    /// and recover the same state every time.
+    #[test]
+    fn reopen_is_idempotent_on_disk_and_in_state() {
+        let dir = tempfile::tempdir().unwrap();
+        {
+            let g = LiveGraph::open(durable_options(dir.path())).unwrap();
+            let mut txn = g.begin_write().unwrap();
+            let vs: Vec<_> = (0..6)
+                .map(|i| txn.create_vertex(format!("v{i}").as_bytes()).unwrap())
+                .collect();
+            for w in vs.windows(2) {
+                txn.put_edge(w[0], 0, w[1], b"pre").unwrap();
+            }
+            txn.commit().unwrap();
+            g.checkpoint().unwrap();
+            // The WAL tail: an update, an edge delete, a vertex delete and
+            // a new edge, each in its own commit.
+            let mut txn = g.begin_write().unwrap();
+            txn.put_vertex(vs[0], b"v0-updated").unwrap();
+            txn.commit().unwrap();
+            let mut txn = g.begin_write().unwrap();
+            txn.delete_edge(vs[1], 0, vs[2]).unwrap();
+            txn.commit().unwrap();
+            let mut txn = g.begin_write().unwrap();
+            txn.delete_vertex(vs[4]).unwrap();
+            txn.put_edge(vs[5], 0, vs[0], b"post").unwrap();
+            txn.commit().unwrap();
+        }
+        let files = || {
+            let read = |name: &str| std::fs::read(dir.path().join(name)).unwrap();
+            (read("wal.log"), read("checkpoint.dat"))
+        };
+        let before = files();
+        assert!(!before.0.is_empty() && !before.1.is_empty());
+        let mut first: Option<State> = None;
+        for round in 0..3 {
+            let g = LiveGraph::open(durable_options(dir.path())).unwrap();
+            let now = state(&g);
+            drop(g);
+            assert!(
+                files() == before,
+                "reopen {round} rewrote the log or the image"
+            );
+            match &first {
+                None => first = Some(now),
+                Some(f) => assert_eq!(&now, f, "reopen {round} recovered a different state"),
+            }
+        }
+        let first = first.unwrap();
+        assert_eq!(first[0].0.as_deref(), Some(&b"v0-updated"[..]));
+        assert_eq!(first[4].0, None, "the deleted vertex stays deleted");
+        assert!(first[1].1.is_empty(), "the deleted edge stays deleted");
+        assert_eq!(first[5].1, vec![(0, b"post".to_vec())]);
+    }
+
+    /// A checkpoint record whose checksum is right but whose content does
+    /// not decode is corruption, reported by `open`, never a panic and
+    /// never a silently shorter graph.
+    #[test]
+    fn checksummed_checkpoint_record_with_a_bad_op_tag_is_corruption() {
+        let dir = tempfile::tempdir().unwrap();
+        {
+            let g = LiveGraph::open(durable_options(dir.path())).unwrap();
+            let mut txn = g.begin_write().unwrap();
+            let a = txn.create_vertex(b"a").unwrap();
+            let b = txn.create_vertex(b"b").unwrap();
+            txn.put_edge(a, 0, b, b"ab").unwrap();
+            txn.commit().unwrap();
+            g.checkpoint().unwrap();
+        }
+        let path = dir.path().join("checkpoint.dat");
+        let mut bytes = std::fs::read(&path).unwrap();
+        // Frame: magic (4) | len (4) | payload | checksum (8); the payload
+        // starts with epoch (8) | op count (4) | first op's tag.
+        let len = u32::from_le_bytes(bytes[4..8].try_into().unwrap()) as usize;
+        bytes[8 + 12] = 0xEE;
+        let sum = crate::wal::checksum(&bytes[8..8 + len]);
+        bytes[8 + len..16 + len].copy_from_slice(&sum.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        match LiveGraph::open(durable_options(dir.path())) {
+            Err(crate::Error::Corruption(msg)) => assert!(msg.contains("op tag"), "{msg}"),
+            Err(other) => panic!("expected Corruption, got {other:?}"),
+            Ok(g) => panic!(
+                "a corrupt checkpoint opened with {} vertices",
+                g.vertex_count()
+            ),
         }
     }
 

@@ -1,23 +1,27 @@
-//! Group commit coordination (the paper's *persist phase*, §5).
+//! Commit coordination (the paper's *persist phase*, §5).
 //!
-//! Write transactions finish their work phase and hand their logical
-//! operations to the [`CommitCoordinator`]. Committers form *commit groups*:
-//! the first committer becomes the group leader, drains every queued
-//! request, advances the global write epoch `GWE` once for the whole group,
-//! enqueues the group's records to the WAL's group-commit coordinator
-//! ([`crate::wal::GroupWal`]) and hands every member its write timestamp
-//! `TWE = GWE`. Leadership ends there — the leader never blocks on I/O
-//! while holding it — and every member (leader included) then waits for a
-//! WAL flush covering its records: one buffered write + one `fsync` makes
-//! a whole batch of transactions (possibly spanning several epoch groups)
-//! durable at once. Only after that durability point does a member perform
-//! its *apply phase*; the global read epoch `GRE` only advances to an epoch
-//! once every transaction of that commit group (and of all earlier groups)
-//! has finished applying — this is what guarantees that a transaction's
-//! read timestamp is always smaller than the write timestamp of any ongoing
-//! transaction, and that nothing becomes visible before it is durable.
+//! A write transaction that finished its work phase calls
+//! [`CommitCoordinator::persist`]. Under the [`GroupClock`] lock it takes
+//! the next write epoch (`TWE = ++GWE`), registers its apply obligation,
+//! and encodes its WAL frame straight from its `&[WalOp]` into the
+//! [`GroupWal`] staging buffer — one lock round, no queue, no hand-off.
+//! It then waits for a WAL flush covering its frame: the first committer to
+//! find no flush in progress becomes the flush leader and writes every
+//! staged frame with one `write` and one `fsync`. Only after that
+//! durability point does the committer perform its *apply phase*; the
+//! global read epoch `GRE` only advances to an epoch once that epoch and
+//! every earlier one have finished applying. This guarantees that a
+//! transaction's read timestamp is always smaller than the write timestamp
+//! of any ongoing transaction, and that nothing becomes visible before it
+//! is durable.
+//!
+//! **Deviation from the paper.** The paper gives a whole commit group one
+//! `TWE`. Here each commit gets its own epoch, and grouping happens at one
+//! level only: the WAL flush batch, which is still the paper's group
+//! commit — one log write plus one sync per batch. Epoch order equals WAL
+//! order because frames are staged under the clock lock.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::VecDeque;
 use std::path::Path;
 
 use crate::sync::{Arc, Condvar, Mutex};
@@ -26,30 +30,17 @@ use crate::epoch::EpochManager;
 use crate::error::Result;
 use crate::telemetry::Telemetry;
 use crate::types::Timestamp;
-use crate::wal::{GroupCommitConfig, GroupWal, SyncMode, WalOp, WalRecord, WalStats, WalWriter};
-
-/// A commit request queued by a write transaction.
-struct PendingCommit {
-    request: u64,
-    ops: Vec<WalOp>,
-    log_to_wal: bool,
-}
-
-#[derive(Default)]
-struct GroupState {
-    queue: Vec<PendingCommit>,
-    /// Assigned write epoch + WAL flush ticket for requests whose group has
-    /// been formed (the ticket is `None` for unlogged / in-memory commits).
-    assigned: HashMap<u64, (Timestamp, Option<u64>)>,
-    leader_active: bool,
-    next_request: u64,
-}
+use crate::wal::{GroupCommitConfig, GroupWal, SyncMode, WalOp, WalStats, WalWriter};
 
 /// Tracks apply-phase completion so `GRE` advances in epoch order.
 #[derive(Default)]
 struct ApplyTracker {
-    /// epoch → number of transactions still applying.
-    outstanding: BTreeMap<Timestamp, usize>,
+    /// `(epoch, transactions still applying)` in epoch order: epochs are
+    /// assigned under the tracker lock, so every push lands at the back.
+    outstanding: VecDeque<(Timestamp, usize)>,
+    /// Committers parked on `gre_cv`; `finish_apply` notifies only when
+    /// this is non-zero.
+    gre_waiters: usize,
 }
 
 /// The shared commit clock: pairs the global write epoch with the apply
@@ -59,17 +50,17 @@ struct ApplyTracker {
 /// [`crate::ShardedGraph`](crate::sharded::ShardedGraph) hands the *same*
 /// clock to every shard's coordinator so that (a) epoch assignment and
 /// obligation registration are atomic across shards — otherwise a shard
-/// could publish `GRE = e` while another shard's group with epoch `e' < e`
-/// is still applying — and (b) a cross-shard transaction becomes visible on
-/// all shards at once: `GRE` only reaches its epoch after every per-shard
-/// part has applied.
+/// could publish `GRE = e` while another shard's commit with epoch
+/// `e' < e` is still applying — and (b) a cross-shard transaction becomes
+/// visible on all shards at once: `GRE` only reaches its epoch after every
+/// per-shard part has applied.
 #[doc(hidden)]
 pub struct GroupClock {
     tracker: Mutex<ApplyTracker>,
-    /// Signalled whenever `GRE` advances; committers waiting for session
-    /// consistency sleep here instead of spin-yielding (on oversubscribed
-    /// cores a spinning committer steals the quantum from the very threads
-    /// whose applies it is waiting for).
+    /// Signalled whenever `GRE` advances while a committer waits for
+    /// session consistency (on oversubscribed cores a spinning committer
+    /// steals the quantum from the very threads whose applies it is
+    /// waiting for).
     gre_cv: Condvar,
 }
 
@@ -101,8 +92,12 @@ impl GroupClock {
             crate::sync::hint::spin_loop();
         }
         let mut t = self.tracker.lock();
+        // GRE is published under the tracker lock, so re-checking it here
+        // leaves no lost-wakeup window.
         while epochs.gre() < epoch {
+            t.gre_waiters += 1;
             self.gre_cv.wait(&mut t);
+            t.gre_waiters -= 1;
         }
     }
 
@@ -110,11 +105,11 @@ impl GroupClock {
     /// obligations for the new epoch, and runs `log` with the new epoch —
     /// all while the tracker lock is held, which makes the triple atomic
     /// against other coordinators sharing this clock. Commit paths use
-    /// `log` to enqueue their WAL records *inside* epoch assignment, which
-    /// pins per-WAL file order to epoch order: two groups can never appear
+    /// `log` to stage their WAL frames *inside* epoch assignment, which
+    /// pins per-WAL file order to epoch order: two commits can never appear
     /// in a log in the opposite order of their epochs, so a torn tail is
     /// always an epoch-prefix — the invariant the crash-recovery oracle
-    /// checks. `log` must not block (a [`GroupWal`] enqueue never does).
+    /// checks. `log` must not block (a [`GroupWal::stage`] never does).
     #[doc(hidden)]
     pub fn begin_group_with<R>(
         &self,
@@ -124,7 +119,7 @@ impl GroupClock {
     ) -> (Timestamp, R) {
         let mut t = self.tracker.lock();
         let epoch = epochs.advance_gwe();
-        t.outstanding.insert(epoch, participants);
+        t.outstanding.push_back((epoch, participants));
         let logged = log(epoch);
         (epoch, logged)
     }
@@ -134,21 +129,19 @@ impl GroupClock {
     #[doc(hidden)]
     pub fn finish_apply(&self, epochs: &EpochManager, epoch: Timestamp) {
         let mut t = self.tracker.lock();
-        if let Some(count) = t.outstanding.get_mut(&epoch) {
-            *count -= 1;
+        if let Ok(i) = t.outstanding.binary_search_by_key(&epoch, |&(e, _)| e) {
+            t.outstanding[i].1 -= 1;
         }
-        let mut new_gre = epochs.gre();
-        while let Some((&e, &count)) = t.outstanding.iter().next() {
-            if count == 0 {
-                t.outstanding.remove(&e);
-                new_gre = e;
-            } else {
-                break;
+        let mut new_gre = None;
+        while let Some(&(e, 0)) = t.outstanding.front() {
+            t.outstanding.pop_front();
+            new_gre = Some(e);
+        }
+        if let Some(gre) = new_gre.filter(|&g| g > epochs.gre()) {
+            epochs.publish_gre(gre);
+            if t.gre_waiters > 0 {
+                self.gre_cv.notify_all();
             }
-        }
-        if new_gre > epochs.gre() {
-            epochs.publish_gre(new_gre);
-            self.gre_cv.notify_all();
         }
     }
 }
@@ -156,12 +149,10 @@ impl GroupClock {
 /// Coordinates WAL persistence and epoch publication for commits.
 pub struct CommitCoordinator {
     wal: Option<GroupWal>,
-    group: Mutex<GroupState>,
-    group_cv: Condvar,
     clock: Arc<GroupClock>,
-    /// Span histograms for the persist phase (group formation, WAL
-    /// enqueue, fsync wait). Defaults to a disabled registry; engines
-    /// install their shared one on open.
+    /// Span histograms for the persist phase (epoch + staging, fsync
+    /// wait). Defaults to a disabled registry; engines install their
+    /// shared one on open.
     telemetry: Arc<Telemetry>,
 }
 
@@ -191,8 +182,6 @@ impl CommitCoordinator {
         };
         Ok(Self {
             wal,
-            group: Mutex::new(GroupState::default()),
-            group_cv: Condvar::new(),
             clock,
             telemetry: Telemetry::disabled(),
         })
@@ -201,18 +190,23 @@ impl CommitCoordinator {
     /// Installs the engine's shared telemetry registry (called once during
     /// engine open, before the coordinator is shared between threads).
     pub(crate) fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
+        if let Some(wal) = &mut self.wal {
+            wal.set_telemetry(Arc::clone(&telemetry));
+        }
         self.telemetry = telemetry;
     }
 
-    /// Enqueues one already-framed record to this coordinator's WAL,
-    /// returning the flush ticket to pass to
-    /// [`CommitCoordinator::wait_ticket`], or `None` without a WAL. Used by
-    /// the cross-shard commit path, which assigns its epoch through the
-    /// shared clock and replicates the record to every participant's WAL;
-    /// enqueueing (instead of writing + fsyncing inline) lets concurrent
-    /// cross-shard commits share one fsync per participant log.
-    pub(crate) fn enqueue_record(&self, record: &WalRecord) -> Option<u64> {
-        self.wal.as_ref().map(|w| w.enqueue(vec![record.clone()]))
+    /// Stages the record `(epoch, ops)` on this coordinator's WAL and
+    /// returns the flush ticket to pass to
+    /// [`CommitCoordinator::wait_ticket`] — `None` without a WAL or without
+    /// ops (recovery replay builds none). Must run under the clock lock
+    /// that assigned `epoch` (see [`GroupClock::begin_group_with`]). The
+    /// cross-shard commit path stages its one record on every participant's
+    /// WAL this way, so concurrent cross-shard commits share one fsync per
+    /// participant log.
+    pub(crate) fn stage(&self, epoch: Timestamp, ops: &[WalOp]) -> Option<u64> {
+        let wal = self.wal.as_ref()?;
+        (!ops.is_empty()).then(|| wal.stage(epoch, ops))
     }
 
     /// Blocks until the records behind `ticket` are durable on this
@@ -250,114 +244,22 @@ impl CommitCoordinator {
         }
     }
 
-    /// Persist phase: queues this transaction's operations, participates in
-    /// (or leads) a commit group and returns the assigned write timestamp.
+    /// Persist phase: takes this transaction's epoch, stages its WAL frame
+    /// (unless `ops` is empty, as in recovery replay) and waits until the
+    /// frame is durable. Returns the write timestamp.
     ///
-    /// On return, the WAL (if any) durably contains this transaction and the
-    /// epoch has been registered with the apply tracker; the caller must
-    /// perform its apply phase and then call [`CommitCoordinator::finish_apply`].
-    #[cfg(test)]
-    pub fn persist(&self, epochs: &EpochManager, ops: Vec<WalOp>) -> Result<Timestamp> {
-        self.persist_with(epochs, ops, true, false)
-    }
-
-    /// Like [`CommitCoordinator::persist`], with control over whether the
-    /// operations are logged to the WAL (recovery replay passes `false`).
-    /// `traced` commits record the enqueue/fsync span histograms; the rest
-    /// skip the clock reads (see `Telemetry::trace_commit`).
-    pub fn persist_with(
-        &self,
-        epochs: &EpochManager,
-        ops: Vec<WalOp>,
-        log_to_wal: bool,
-        traced: bool,
-    ) -> Result<Timestamp> {
-        // Span: group formation + WAL enqueue — from entering the persist
-        // phase until this request has an epoch and flush ticket assigned
-        // (queue wait for followers, drain-and-enqueue loops for leaders).
+    /// On return the epoch is registered with the apply tracker; the caller
+    /// must perform its apply phase and then call
+    /// [`CommitCoordinator::finish_apply`]. `traced` commits record the
+    /// staging/fsync span histograms; the rest skip the clock reads (see
+    /// `Telemetry::trace_commit`).
+    pub fn persist(&self, epochs: &EpochManager, ops: &[WalOp], traced: bool) -> Result<Timestamp> {
+        // Span: epoch assignment + frame staging, including the wait for
+        // the clock lock.
         let enqueue_timer = if traced { self.telemetry.timer() } else { None };
-        let request = {
-            let mut g = self.group.lock();
-            let id = g.next_request;
-            g.next_request += 1;
-            g.queue.push(PendingCommit {
-                request: id,
-                ops,
-                log_to_wal,
-            });
-            if g.leader_active {
-                // A leader is running; wait for it to form our group, then
-                // wait out the WAL flush covering us.
-                loop {
-                    if let Some((epoch, ticket)) = g.assigned.remove(&id) {
-                        drop(g);
-                        self.telemetry
-                            .commit_wal_enqueue_seconds
-                            .observe_timer(enqueue_timer);
-                        return self.await_durable(epochs, epoch, ticket, traced);
-                    }
-                    self.group_cv.wait(&mut g);
-                }
-            }
-            g.leader_active = true;
-            id
-        };
-        // This thread is the group leader: form epoch groups until the queue
-        // drains. Leadership covers only epoch assignment and the WAL
-        // *enqueue* — never the flush — so arrivals during an fsync elect a
-        // fresh leader immediately and pile into the next flush batch
-        // instead of serialising behind this one.
-        let mut mine = None;
-        loop {
-            let batch = {
-                let mut g = self.group.lock();
-                if g.queue.is_empty() {
-                    g.leader_active = false;
-                    // Wake any committer that queued after our last drain but
-                    // found `leader_active == true` just before we cleared it.
-                    self.group_cv.notify_all();
-                    break;
-                }
-                std::mem::take(&mut g.queue)
-            };
-            // Batch-size observations ride the leader's trace sample:
-            // leaders are arbitrary committers, so batches are sampled at
-            // the same 1-in-N rate as commit spans.
-            if traced && self.telemetry.enabled() {
-                self.telemetry
-                    .wal_batch_records_total
-                    .observe(batch.len() as u64);
-            }
-            // Atomically: take the next epoch, register the apply
-            // obligations, and enqueue the group's records — all before
-            // anyone learns the epoch, and in epoch order within the WAL.
-            let (epoch, ticket) = self.clock.begin_group_with(epochs, batch.len(), |epoch| {
-                let wal = self.wal.as_ref()?;
-                let records: Vec<WalRecord> = batch
-                    .iter()
-                    .filter(|p| p.log_to_wal)
-                    .map(|p| WalRecord {
-                        epoch,
-                        ops: p.ops.clone(),
-                    })
-                    .collect();
-                if records.is_empty() {
-                    None
-                } else {
-                    Some(wal.enqueue(records))
-                }
-            });
-            let mut g = self.group.lock();
-            for p in &batch {
-                if p.request == request {
-                    mine = Some((epoch, ticket));
-                } else {
-                    g.assigned.insert(p.request, (epoch, ticket));
-                }
-            }
-            self.group_cv.notify_all();
-        }
-        let (epoch, ticket) = mine.expect("leader's own request must be part of a batch");
+        let (epoch, ticket) = self
+            .clock
+            .begin_group_with(epochs, 1, |epoch| self.stage(epoch, ops));
         self.telemetry
             .commit_wal_enqueue_seconds
             .observe_timer(enqueue_timer);
@@ -378,7 +280,7 @@ impl CommitCoordinator {
     ) -> Result<Timestamp> {
         if let Some(ticket) = ticket {
             // Span: fsync wait — the time this committer blocks until the
-            // group flush covering its records lands on the device.
+            // flush covering its frame lands on the device.
             let fsync_timer = if traced { self.telemetry.timer() } else { None };
             let waited = self.wait_ticket(ticket);
             self.telemetry
@@ -424,7 +326,7 @@ mod tests {
         let dir = tempfile::tempdir().unwrap();
         let c = coordinator(&dir, false);
         let epochs = EpochManager::new(4);
-        let epoch = c.persist(&epochs, vec![]).unwrap();
+        let epoch = c.persist(&epochs, &[], false).unwrap();
         assert_eq!(epoch, 1);
         assert_eq!(epochs.gre(), 0, "GRE must not move before apply completes");
         c.finish_apply(&epochs, epoch);
@@ -436,8 +338,8 @@ mod tests {
         let dir = tempfile::tempdir().unwrap();
         let c = coordinator(&dir, false);
         let epochs = EpochManager::new(4);
-        let e1 = c.persist(&epochs, vec![]).unwrap();
-        let e2 = c.persist(&epochs, vec![]).unwrap();
+        let e1 = c.persist(&epochs, &[], false).unwrap();
+        let e2 = c.persist(&epochs, &[], false).unwrap();
         assert!(e2 > e1);
         // Finish the later epoch first: GRE must not jump over e1.
         c.finish_apply(&epochs, e2);
@@ -461,7 +363,7 @@ mod tests {
             vertex: 1,
             properties: b"x".to_vec(),
         }];
-        let epoch = c.persist(&epochs, ops.clone()).unwrap();
+        let epoch = c.persist(&epochs, &ops, false).unwrap();
         c.finish_apply(&epochs, epoch);
         let records = crate::wal::read_wal(&path).unwrap();
         assert_eq!(records.len(), 1);
@@ -489,7 +391,7 @@ mod tests {
                         dst: i + 1,
                         properties: vec![],
                     }];
-                    let epoch = c.persist(&epochs, ops).unwrap();
+                    let epoch = c.persist(&epochs, &ops, false).unwrap();
                     c.finish_apply(&epochs, epoch);
                     got.push(epoch);
                 }
@@ -503,23 +405,30 @@ mod tests {
                 max_epoch = max_epoch.max(e);
             }
         }
-        assert_eq!(epochs.gre(), max_epoch, "GRE must catch up to the last group");
-        assert!(max_epoch <= 8 * 50, "epochs are grouped, never exceed txn count");
+        assert_eq!(
+            epochs.gre(),
+            max_epoch,
+            "GRE must catch up to the last commit"
+        );
+        assert_eq!(max_epoch, 8 * 50, "every commit gets its own epoch");
+        assert_eq!(c.wal_stats().group_records, 8 * 50);
     }
 
     #[test]
     fn group_commit_batches_under_contention() {
-        // With many concurrent committers and a slow (fsync) WAL, the number
-        // of consumed epochs should be visibly smaller than the number of
-        // transactions — evidence that groups of more than one formed.
+        // Many concurrent committers on a slow (fsync) WAL: every commit
+        // gets its own epoch and its own frame, while flush batches share
+        // one write + one fsync each.
         let dir = tempfile::tempdir().unwrap();
         let path = dir.path().join("wal.log");
-        let c = Arc::new(CommitCoordinator::new(
-            Some(path.as_path()),
-            SyncMode::Fsync,
-            GroupCommitConfig::default(),
-        )
-        .unwrap());
+        let c = Arc::new(
+            CommitCoordinator::new(
+                Some(path.as_path()),
+                SyncMode::Fsync,
+                GroupCommitConfig::default(),
+            )
+            .unwrap(),
+        );
         let epochs = Arc::new(EpochManager::new(32));
         let txns_per_thread = 30;
         let threads = 8;
@@ -528,8 +437,9 @@ mod tests {
             let c = Arc::clone(&c);
             let epochs = Arc::clone(&epochs);
             handles.push(std::thread::spawn(move || {
+                let ops = vec![WalOp::DeleteVertex { vertex: 7 }];
                 for _ in 0..txns_per_thread {
-                    let e = c.persist(&epochs, vec![]).unwrap();
+                    let e = c.persist(&epochs, &ops, false).unwrap();
                     c.finish_apply(&epochs, e);
                 }
             }));
@@ -538,7 +448,20 @@ mod tests {
             h.join().unwrap();
         }
         let total = (threads * txns_per_thread) as i64;
-        assert!(epochs.gwe() <= total);
-        assert!(epochs.gwe() >= 1);
+        assert_eq!(epochs.gwe(), total);
+        assert_eq!(epochs.gre(), total);
+        let stats = c.wal_stats();
+        assert_eq!(stats.group_records, total as u64);
+        assert_eq!(stats.fsyncs, stats.groups, "one fsync per flush batch");
+        let logged: Vec<_> = crate::wal::read_wal(&path)
+            .unwrap()
+            .iter()
+            .map(|r| r.epoch)
+            .collect();
+        assert_eq!(
+            logged,
+            (1..=total).collect::<Vec<_>>(),
+            "file order is epoch order"
+        );
     }
 }

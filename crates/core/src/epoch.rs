@@ -2,7 +2,7 @@
 //!
 //! §5 of the paper: all threads share two global epoch counters — `GRE` (the
 //! read epoch handed to starting transactions) and `GWE` (the write epoch
-//! advanced by the transaction manager for every commit group) — plus a
+//! advanced by the transaction manager for every commit) — plus a
 //! *reading epoch table* with one slot per worker, used by compaction to
 //! compute a safe timestamp below which old versions can be reclaimed.
 //!
@@ -23,7 +23,7 @@ pub const IDLE_EPOCH: i64 = i64::MAX;
 pub struct EpochManager {
     /// Global read epoch: the snapshot new transactions read.
     gre: AtomicI64,
-    /// Global write epoch: advanced once per commit group.
+    /// Global write epoch: advanced once per commit.
     gwe: AtomicI64,
     /// Reading-epoch table: `slots[w]` holds the smallest read epoch of
     /// worker `w`'s active transactions, or [`IDLE_EPOCH`].
@@ -72,7 +72,7 @@ impl EpochManager {
     }
 
     /// Advances the global write epoch by one and returns the new value
-    /// (the write timestamp assigned to the current commit group).
+    /// (the write timestamp assigned to the committing transaction).
     #[inline]
     pub fn advance_gwe(&self) -> Timestamp {
         // ORDERING: AcqRel makes successive group timestamps form a single

@@ -37,7 +37,7 @@ pub struct LiveGraphOptions {
     /// Directory for durable state (WAL and checkpoints). `None` disables
     /// durability entirely.
     pub data_dir: Option<PathBuf>,
-    /// Whether commit groups `fsync` the WAL.
+    /// Whether WAL flush batches `fsync` the log.
     pub sync_mode: SyncMode,
     /// Number of commits between automatic compaction passes per worker
     /// (the paper's default is 65 536 transactions).

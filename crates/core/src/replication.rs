@@ -25,9 +25,10 @@
 //!
 //! # Why "complete epochs at or below the GRE" is the safety rule
 //!
-//! One commit group is one epoch, but an epoch may span several WAL records
-//! (one per member transaction), and group-commit flushes may split a group
-//! across device writes. The engine orders durability before apply and
+//! Every commit takes its own epoch, so an epoch is one WAL record, and a
+//! group-commit flush batch carries many epochs. The tail still reasons in
+//! whole epochs, which stays correct if an epoch ever spans several records.
+//! The engine orders durability before apply and
 //! apply before GRE advance, so `GRE >= e` implies *every* record of epoch
 //! `e` is already durable in the WAL file — and WAL file order is epoch
 //! order. [`WalTail::poll`] therefore snapshots the GRE *before* reading
@@ -44,7 +45,7 @@ use crate::checkpoint::{apply_ops_in, checkpoint_path, wal_path};
 use crate::error::{Error, Result};
 use crate::graph::{GraphInner, LiveGraph};
 use crate::types::Timestamp;
-use crate::wal::{read_wal, read_wal_from, WalRecord};
+use crate::wal::{read_wal, read_wal_from, sync_dir, WalOp, WalRecord};
 
 /// What one [`WalTail::poll`] produced.
 #[derive(Debug)]
@@ -152,7 +153,7 @@ impl<'g> WalTail<'g> {
                 self.durable_mark = wal.wait_durable_change(self.durable_mark, remaining);
             } else {
                 // Records exist but their epoch is still above the GRE:
-                // the commit group is mid-apply and the GRE is about to
+                // the commit is mid-apply and the GRE is about to
                 // advance. A short nap, not a condvar, keeps this simple.
                 std::thread::sleep(remaining.min(Duration::from_millis(1)));
             }
@@ -247,7 +248,8 @@ impl LiveGraph {
     /// the replica's global read epoch afterwards.
     ///
     /// All records of one epoch are applied in a single write transaction
-    /// (a primary commit group's members had disjoint write sets, so the
+    /// (one record per epoch from a plain primary; several records of one
+    /// epoch would come from transactions with disjoint write sets, so the
     /// merge is conflict-free), which makes the replica consume exactly one
     /// epoch per primary epoch: after applying epoch `e`, this replica's
     /// `begin_read_at(e)` sees the same snapshot as the primary's. Epochs
@@ -277,7 +279,7 @@ impl LiveGraph {
             }
             let mut txn = crate::txn::WriteTxn::begin(graph)?;
             for record in &records[i..j] {
-                apply_ops_in(graph, &mut txn, &record.ops)?;
+                apply_ops_in(graph, &mut txn, record.ops.iter().map(WalOp::borrowed))?;
             }
             let committed = txn.commit()?;
             if committed != epoch {
@@ -330,7 +332,7 @@ pub fn install_bootstrap(dir: impl AsRef<Path>, bytes: &[u8]) -> Result<()> {
     }
     std::fs::rename(&tmp, checkpoint_path(dir))?;
     let _ = std::fs::remove_file(wal_path(dir));
-    Ok(())
+    sync_dir(dir)
 }
 
 /// The highest epoch durably recorded in a data directory (checkpoint and

@@ -394,28 +394,19 @@ impl ShardedGraph {
         // shard's part has applied. The full record is replicated to every
         // participant's WAL — any single durable copy is enough to recover
         // the transaction entirely, which is what makes torn multi-WAL
-        // writes atomic. Enqueueing to all participants happens inside the
+        // writes atomic. Staging on all participants happens inside the
         // clock lock (epoch order == per-WAL file order), but the waits run
-        // afterwards: concurrent cross-shard transactions enqueue into each
+        // afterwards: concurrent cross-shard transactions stage into each
         // other's batches and each participant log fsyncs once per *batch*
         // of transactions instead of once per transaction, so an N-shard
-        // commit under load no longer pays N serial device flushes.
-        let recovering = self.shards[0]
-            .inner()
-            // ORDERING: Acquire pairs with the Release stores in `recover`,
-            // bracketing replay so no durable work is enqueued during it.
-            .recovery_mode
-            .load(Ordering::Acquire);
+        // commit under load no longer pays N serial device flushes. During
+        // recovery the parts build no ops, so nothing is staged.
         let (epoch, tickets) = self.clock.begin_group_with(&self.epochs, parts.len(), |epoch| {
-            if recovering {
-                return Vec::new();
-            }
-            let record = WalRecord { epoch, ops: std::mem::take(&mut all_ops) };
             parts
                 .iter()
                 .filter_map(|(shard, _)| {
                     let commit = &self.shards[*shard].inner().commit;
-                    commit.enqueue_record(&record).map(|t| (*shard, t))
+                    commit.stage(epoch, &all_ops).map(|t| (*shard, t))
                 })
                 .collect::<Vec<_>>()
         });

@@ -374,8 +374,9 @@ pub struct Telemetry {
     pub commit_seconds: Histogram,
     /// Time a committing transaction spent acquiring vertex locks.
     pub commit_lock_seconds: Histogram,
-    /// Group formation + WAL enqueue (entering the persist phase until an
-    /// epoch and flush ticket are assigned).
+    /// Epoch assignment + WAL frame staging under the commit clock
+    /// (entering the persist phase until an epoch and flush ticket are
+    /// assigned, clock-lock wait included).
     pub commit_wal_enqueue_seconds: Histogram,
     /// Waiting for the WAL flush (group fsync) covering the commit.
     pub commit_fsync_wait_seconds: Histogram,
@@ -383,7 +384,8 @@ pub struct Telemetry {
     pub commit_apply_seconds: Histogram,
     /// Waiting for `GRE` to cover the commit (session consistency).
     pub commit_gre_wait_seconds: Histogram,
-    /// Records per formed group-commit batch.
+    /// Records per WAL flush batch (one write + one sync), observed by
+    /// the flush leader for every batch.
     pub wal_batch_records_total: Histogram,
     /// Sealed (zero-check) scan latency, sampled 1-in-64.
     pub scan_sealed_seconds: Histogram,

@@ -440,7 +440,15 @@ pub struct WriteTxn<'g> {
     locked: Vec<VertexId>,
     tel_writes: HashMap<(VertexId, Label), TelWrite>,
     vertex_writes: HashMap<VertexId, VertexWrite>,
+    /// Logical operations for the WAL frame; left empty while replaying
+    /// (see `log_ops`).
     wal_ops: Vec<WalOp>,
+    /// Logical writes performed, counted whether or not they are logged
+    /// (a transaction with none commits as read-only).
+    writes: usize,
+    /// False while recovery replays already-logged operations: re-logging
+    /// them would duplicate the WAL, so the ops are not even built.
+    log_ops: bool,
     closed: bool,
     /// Whether this transaction's commit takes full span timestamps (see
     /// [`crate::telemetry::Telemetry::trace_commit`] — sampled, or every
@@ -477,6 +485,12 @@ impl<'g> WriteTxn<'g> {
             tel_writes: HashMap::new(),
             vertex_writes: HashMap::new(),
             wal_ops: Vec::new(),
+            writes: 0,
+            // ORDERING: Acquire pairs with the Release stores bracketing
+            // recovery, so replayed transactions skip logging reliably.
+            log_ops: !graph
+                .recovery_mode
+                .load(std::sync::atomic::Ordering::Acquire),
             closed: false,
             traced: graph.telemetry.trace_commit(worker),
             lock_wait: std::time::Duration::ZERO,
@@ -498,6 +512,15 @@ impl<'g> WriteTxn<'g> {
     /// telemetry cell, mirroring [`WriteTxn::commit`].
     pub(crate) fn worker(&self) -> usize {
         self.worker
+    }
+
+    /// Counts one logical write and, unless replaying, buffers its WAL op
+    /// (built lazily, so replay copies no payloads).
+    fn record(&mut self, op: impl FnOnce() -> WalOp) {
+        self.writes += 1;
+        if self.log_ops {
+            self.wal_ops.push(op());
+        }
     }
 
     fn ensure_open(&self) -> Result<()> {
@@ -592,7 +615,7 @@ impl<'g> WriteTxn<'g> {
         };
         self.lock_vertex(vertex)?;
         self.write_vertex_block(vertex, properties, true, false)?;
-        self.wal_ops.push(WalOp::CreateVertex {
+        self.record(|| WalOp::CreateVertex {
             vertex,
             properties: properties.to_vec(),
         });
@@ -619,7 +642,7 @@ impl<'g> WriteTxn<'g> {
             .fetch_max(vertex + 1, std::sync::atomic::Ordering::AcqRel);
         self.lock_vertex(vertex)?;
         self.write_vertex_block(vertex, properties, true, false)?;
-        self.wal_ops.push(WalOp::CreateVertex {
+        self.record(|| WalOp::CreateVertex {
             vertex,
             properties: properties.to_vec(),
         });
@@ -653,7 +676,7 @@ impl<'g> WriteTxn<'g> {
             }
         }
         self.write_vertex_block(vertex, properties, false, false)?;
-        self.wal_ops.push(WalOp::PutVertex {
+        self.record(|| WalOp::PutVertex {
             vertex,
             properties: properties.to_vec(),
         });
@@ -714,7 +737,7 @@ impl<'g> WriteTxn<'g> {
             }
             tw.invalidations += invalidated;
         }
-        self.wal_ops.push(WalOp::DeleteVertex { vertex });
+        self.record(|| WalOp::DeleteVertex { vertex });
         Ok(true)
     }
 
@@ -870,7 +893,7 @@ impl<'g> WriteTxn<'g> {
         if inserted {
             tw.inserted += 1;
         }
-        self.wal_ops.push(WalOp::PutEdge {
+        self.record(|| WalOp::PutEdge {
             src,
             label,
             dst,
@@ -903,7 +926,7 @@ impl<'g> WriteTxn<'g> {
             None => false,
         };
         if existed {
-            self.wal_ops.push(WalOp::DeleteEdge { src, label, dst });
+            self.record(|| WalOp::DeleteEdge { src, label, dst });
         }
         Ok(existed)
     }
@@ -1008,34 +1031,26 @@ impl<'g> WriteTxn<'g> {
     /// Commits the transaction, returning its commit epoch.
     pub fn commit(mut self) -> Result<Timestamp> {
         self.ensure_open()?;
-        if self.wal_ops.is_empty() {
+        if self.writes == 0 {
             // Read-only "write" transaction: nothing to persist.
             self.release_locks();
             self.closed = true;
             return Ok(self.graph.epochs.gre());
         }
-        let ops = std::mem::take(&mut self.wal_ops);
         let tel = &self.graph.telemetry;
         // Span timestamps only on traced commits (sampled — see
         // `Telemetry::trace_commit`); the clock reads below would otherwise
         // dominate an in-memory commit. The commit *count* stays exact.
         let traced = self.traced;
         let commit_timer = if traced { tel.timer() } else { None };
-        // Recovery replays already-persisted operations; re-logging them
-        // would duplicate the WAL.
-        // ORDERING: Acquire pairs with the Release stores bracketing
-        // recovery, so replayed commits skip re-logging reliably.
-        let log_to_wal = !self
-            .graph
-            .recovery_mode
-            .load(std::sync::atomic::Ordering::Acquire);
-        // Persist phase: group formation, WAL enqueue, fsync wait. The
-        // coordinator records the enqueue/fsync sub-spans itself.
+        // Persist phase: epoch, frame staging, fsync wait. The coordinator
+        // records the staging/fsync sub-spans itself. A replaying
+        // transaction has no ops, so it stages nothing.
         let persist_timer = if traced { tel.timer() } else { None };
         let epoch = self
             .graph
             .commit
-            .persist_with(&self.graph.epochs, ops, log_to_wal, traced)?;
+            .persist(&self.graph.epochs, &self.wal_ops, traced)?;
         let persist_span = persist_timer.map(|t0| t0.elapsed());
         let apply_timer = if traced { tel.timer() } else { None };
         self.apply(epoch);
@@ -1076,9 +1091,9 @@ impl<'g> WriteTxn<'g> {
         self.closed = true;
     }
 
-    /// True if this transaction has buffered any logical operations.
+    /// True if this transaction performed any logical write.
     pub(crate) fn has_writes(&self) -> bool {
-        !self.wal_ops.is_empty()
+        self.writes > 0
     }
 
     /// Drains the buffered logical operations (cross-shard commit path: the
@@ -1211,6 +1226,7 @@ impl<'g> WriteTxn<'g> {
             }
         }
         self.wal_ops.clear();
+        self.writes = 0;
         self.release_locks();
     }
 

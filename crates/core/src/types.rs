@@ -12,7 +12,7 @@ pub type Label = u16;
 /// Logical timestamp / epoch.
 ///
 /// * Positive values are commit epochs (the global write epoch `GWE` at the
-///   time the owning transaction's commit group persisted).
+///   time the owning transaction persisted).
 /// * Negative values are `-TID`: transaction-private, uncommitted writes.
 /// * [`NULL_TS`] marks "not invalidated yet".
 pub type Timestamp = i64;

@@ -1,31 +1,47 @@
 //! Write-ahead log with group commit.
 //!
 //! §5 (persist phase) and §6 (recovery) of the paper: the transaction
-//! manager appends a batch of log entries for every commit group to a
-//! sequential WAL and `fsync`s it before assigning the group its write
-//! timestamp; on failure, LiveGraph loads the latest checkpoint and replays
-//! committed WAL records.
+//! manager appends the log entries of committed transactions to a
+//! sequential WAL and makes them durable before they become visible; on
+//! failure, LiveGraph loads the latest checkpoint and replays committed WAL
+//! records.
 //!
 //! Records are *logical*: they describe the operations of one transaction
 //! (vertex/edge puts and deletes) tagged with the commit epoch, so recovery
-//! can re-execute them through the normal write path. Each record carries a
-//! length and a checksum; a torn tail (crash in the middle of a group write)
-//! is detected and discarded.
+//! can re-execute them through the normal write path. Each record is framed
+//! as `magic | payload length | payload | FNV-1a checksum`; a torn tail
+//! (crash in the middle of a batch write) is detected and discarded.
+//!
+//! **Staging buffer.** A committer never touches the file. While it holds
+//! the commit clock (see `crate::commit`), it encodes its frame straight
+//! from its `&[WalOp]` into the [`GroupWal`]'s staging buffer and gets a
+//! durability *ticket*. A flush leader later swaps that buffer with a
+//! reused spare, writes the bytes with one `write(2)` and issues one sync
+//! for the whole batch. Staging happens in epoch order, so the file is in
+//! epoch order and a torn tail is always an epoch prefix.
+//!
+//! **Recovery** streams a log frame by frame ([`for_each_record`]): each
+//! payload is read into one reused buffer and its ops are decoded as
+//! [`WalOpRef`]s borrowing from it, so replay allocates nothing per op.
 
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Write};
+use std::io::{BufReader, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::time::Instant;
 
 use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::{Condvar, Mutex};
+use crate::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use crate::error::{Error, Result};
+use crate::telemetry::Telemetry;
 use crate::types::{Label, Timestamp, VertexId};
 
 /// Magic bytes prefixed to every WAL record.
 const RECORD_MAGIC: u32 = 0x4C_47_57_4C; // "LGWL"
+
+/// Bytes of framing around a payload: magic + length before, checksum after.
+const FRAME_OVERHEAD: u64 = 16;
 
 /// A single logical operation inside a WAL record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,10 +89,56 @@ pub enum WalOp {
     },
 }
 
+/// A [`WalOp`] whose property payloads borrow from a decode buffer (or
+/// from an owned op, via [`WalOp::borrowed`]). Replay paths consume these so
+/// that re-executing a log costs no allocation per operation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WalOpRef<'a> {
+    /// See [`WalOp::CreateVertex`].
+    CreateVertex {
+        /// Vertex id assigned by the transaction.
+        vertex: VertexId,
+        /// Property payload.
+        properties: &'a [u8],
+    },
+    /// See [`WalOp::PutVertex`].
+    PutVertex {
+        /// Target vertex.
+        vertex: VertexId,
+        /// New property payload.
+        properties: &'a [u8],
+    },
+    /// See [`WalOp::PutEdge`].
+    PutEdge {
+        /// Source vertex.
+        src: VertexId,
+        /// Edge label.
+        label: Label,
+        /// Destination vertex.
+        dst: VertexId,
+        /// Property payload.
+        properties: &'a [u8],
+    },
+    /// See [`WalOp::DeleteEdge`].
+    DeleteEdge {
+        /// Source vertex.
+        src: VertexId,
+        /// Edge label.
+        label: Label,
+        /// Destination vertex.
+        dst: VertexId,
+    },
+    /// See [`WalOp::DeleteVertex`].
+    DeleteVertex {
+        /// Target vertex.
+        vertex: VertexId,
+    },
+}
+
 /// All operations of one committed transaction, tagged with its epoch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalRecord {
-    /// Commit epoch (the group's `TWE`).
+    /// Commit epoch (the transaction's `TWE`).
     pub epoch: Timestamp,
     /// Operations in execution order.
     pub ops: Vec<WalOp>,
@@ -116,9 +178,9 @@ impl<'a> Cursor<'a> {
     fn u64(&mut self) -> Result<u64> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
-    fn bytes(&mut self) -> Result<Vec<u8>> {
+    fn bytes(&mut self) -> Result<&'a [u8]> {
         let len = self.u32()? as usize;
-        Ok(self.take(len)?.to_vec())
+        self.take(len)
     }
     fn done(&self) -> bool {
         self.pos == self.buf.len()
@@ -126,6 +188,37 @@ impl<'a> Cursor<'a> {
 }
 
 impl WalOp {
+    /// Borrowed view of this op (replay paths take [`WalOpRef`]s).
+    pub fn borrowed(&self) -> WalOpRef<'_> {
+        match self {
+            WalOp::CreateVertex { vertex, properties } => WalOpRef::CreateVertex {
+                vertex: *vertex,
+                properties,
+            },
+            WalOp::PutVertex { vertex, properties } => WalOpRef::PutVertex {
+                vertex: *vertex,
+                properties,
+            },
+            WalOp::PutEdge {
+                src,
+                label,
+                dst,
+                properties,
+            } => WalOpRef::PutEdge {
+                src: *src,
+                label: *label,
+                dst: *dst,
+                properties,
+            },
+            WalOp::DeleteEdge { src, label, dst } => WalOpRef::DeleteEdge {
+                src: *src,
+                label: *label,
+                dst: *dst,
+            },
+            WalOp::DeleteVertex { vertex } => WalOpRef::DeleteVertex { vertex: *vertex },
+        }
+    }
+
     fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             WalOp::CreateVertex { vertex, properties } => {
@@ -162,33 +255,97 @@ impl WalOp {
             }
         }
     }
+}
 
-    fn decode(cur: &mut Cursor<'_>) -> Result<Self> {
+impl<'a> WalOpRef<'a> {
+    /// Owned copy of this op.
+    pub fn into_owned(self) -> WalOp {
+        match self {
+            WalOpRef::CreateVertex { vertex, properties } => WalOp::CreateVertex {
+                vertex,
+                properties: properties.to_vec(),
+            },
+            WalOpRef::PutVertex { vertex, properties } => WalOp::PutVertex {
+                vertex,
+                properties: properties.to_vec(),
+            },
+            WalOpRef::PutEdge {
+                src,
+                label,
+                dst,
+                properties,
+            } => WalOp::PutEdge {
+                src,
+                label,
+                dst,
+                properties: properties.to_vec(),
+            },
+            WalOpRef::DeleteEdge { src, label, dst } => WalOp::DeleteEdge { src, label, dst },
+            WalOpRef::DeleteVertex { vertex } => WalOp::DeleteVertex { vertex },
+        }
+    }
+
+    fn decode(cur: &mut Cursor<'a>) -> Result<Self> {
         let tag = cur.take(1)?[0];
         Ok(match tag {
-            1 => WalOp::CreateVertex {
+            1 => WalOpRef::CreateVertex {
                 vertex: cur.u64()?,
                 properties: cur.bytes()?,
             },
-            2 => WalOp::PutVertex {
+            2 => WalOpRef::PutVertex {
                 vertex: cur.u64()?,
                 properties: cur.bytes()?,
             },
-            3 => WalOp::PutEdge {
+            3 => WalOpRef::PutEdge {
                 src: cur.u64()?,
                 label: cur.u32()? as Label,
                 dst: cur.u64()?,
                 properties: cur.bytes()?,
             },
-            4 => WalOp::DeleteEdge {
+            4 => WalOpRef::DeleteEdge {
                 src: cur.u64()?,
                 label: cur.u32()? as Label,
                 dst: cur.u64()?,
             },
-            5 => WalOp::DeleteVertex { vertex: cur.u64()? },
+            5 => WalOpRef::DeleteVertex { vertex: cur.u64()? },
             other => return Err(Error::Corruption(format!("unknown WAL op tag {other}"))),
         })
     }
+}
+
+/// Parses a record payload into `ops` (cleared first), returning the
+/// record's epoch. The ops borrow their property bytes from `payload`.
+fn decode_payload_into<'a>(payload: &'a [u8], ops: &mut Vec<WalOpRef<'a>>) -> Result<Timestamp> {
+    ops.clear();
+    let mut cur = Cursor::new(payload);
+    let epoch = cur.u64()? as Timestamp;
+    let n = cur.u32()? as usize;
+    ops.reserve(n.min(payload.len()));
+    for _ in 0..n {
+        ops.push(WalOpRef::decode(&mut cur)?);
+    }
+    if !cur.done() {
+        return Err(Error::Corruption("trailing bytes in WAL record".into()));
+    }
+    Ok(epoch)
+}
+
+/// Appends one complete frame (magic, length, payload, checksum) for a
+/// record of `epoch` holding `ops`, encoding the payload in place.
+fn encode_frame(buf: &mut Vec<u8>, epoch: Timestamp, ops: &[WalOp]) {
+    let start = buf.len();
+    put_u32(buf, RECORD_MAGIC);
+    put_u32(buf, 0); // length, patched below
+    let payload_start = buf.len();
+    put_u64(buf, epoch as u64);
+    put_u32(buf, ops.len() as u32);
+    for op in ops {
+        op.encode(buf);
+    }
+    let len = (buf.len() - payload_start) as u32;
+    buf[start + 4..payload_start].copy_from_slice(&len.to_le_bytes());
+    let sum = checksum(&buf[payload_start..]);
+    put_u64(buf, sum);
 }
 
 impl WalRecord {
@@ -205,23 +362,18 @@ impl WalRecord {
 
     /// Parses a record payload.
     pub fn decode_payload(payload: &[u8]) -> Result<Self> {
-        let mut cur = Cursor::new(payload);
-        let epoch = cur.u64()? as Timestamp;
-        let n = cur.u32()? as usize;
-        let mut ops = Vec::with_capacity(n);
-        for _ in 0..n {
-            ops.push(WalOp::decode(&mut cur)?);
-        }
-        if !cur.done() {
-            return Err(Error::Corruption("trailing bytes in WAL record".into()));
-        }
-        Ok(Self { epoch, ops })
+        let mut ops = Vec::new();
+        let epoch = decode_payload_into(payload, &mut ops)?;
+        Ok(Self {
+            epoch,
+            ops: ops.into_iter().map(WalOpRef::into_owned).collect(),
+        })
     }
 }
 
 /// FNV-1a, used as the WAL record checksum (corruption detection, not
 /// cryptographic integrity).
-fn checksum(bytes: &[u8]) -> u64 {
+pub(crate) fn checksum(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;
@@ -230,17 +382,36 @@ fn checksum(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Makes the directory entries of `dir` durable (renames, creations).
+///
+/// A `rename` is atomic but not durable until its directory is synced: a
+/// power loss can otherwise undo it. Checkpointing relies on this order —
+/// the new `checkpoint.dat` must be durable before the WAL records it
+/// covers are pruned.
+pub(crate) fn sync_dir(dir: &Path) -> Result<()> {
+    File::open(dir)?.sync_all()?;
+    Ok(())
+}
+
+/// Directory holding `path` (the current directory for a bare file name).
+fn parent_dir(path: &Path) -> &Path {
+    match path.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p,
+        _ => Path::new("."),
+    }
+}
+
 /// Controls whether the WAL issues an `fsync` per commit group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncMode {
-    /// `fsync` after every commit group (the paper's durable configuration).
+    /// `fsync` after every flush batch (the paper's durable configuration).
     Fsync,
     /// Rely on the OS to flush eventually (used by benchmarks that isolate
     /// the effect of storage latency).
     NoSync,
     /// Benchmarking mode: skip the real `fsync` and model a log device with
-    /// the given per-group commit latency instead (the group leader sleeps,
-    /// so concurrent groups on *different* WALs overlap their waits exactly
+    /// the given per-batch commit latency instead (the flush leader sleeps,
+    /// so concurrent batches on *different* WALs overlap their waits exactly
     /// like concurrent device flushes would). The storage crate's
     /// `ColdAccessSimulator` plays the same role for cold reads; this is
     /// its write-side counterpart, used by `shard_scaling` to measure the
@@ -264,11 +435,11 @@ pub enum SyncMode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupCommitConfig {
     /// Largest number of transaction records flushed by one write + fsync.
-    /// The flush leader drains at most this many queued records per batch.
+    /// The flush leader takes at most this many staged records per batch.
     pub max_batch: usize,
     /// How long a flush leader lingers for more committers to join before
     /// flushing a batch smaller than `max_batch`. `Duration::ZERO` (the
-    /// default) flushes whatever is queued immediately: batching then comes
+    /// default) flushes whatever is staged immediately: batching then comes
     /// only from commits that pile up while a previous flush is in flight,
     /// which adds no latency. A non-zero wait trades commit latency for
     /// larger batches on slow log devices.
@@ -314,9 +485,10 @@ pub struct WalStats {
     pub torn: bool,
 }
 
-/// Appender for the write-ahead log.
+/// Appender for the write-ahead log. Writes go straight to the `File`: a
+/// batch is already one contiguous buffer, so it costs one `write(2)`.
 pub struct WalWriter {
-    file: BufWriter<File>,
+    file: File,
     path: std::path::PathBuf,
     sync: SyncMode,
     bytes_written: u64,
@@ -331,7 +503,7 @@ impl WalWriter {
         let file = OpenOptions::new().create(true).append(true).open(path)?;
         let bytes_written = file.metadata()?.len();
         Ok(Self {
-            file: BufWriter::new(file),
+            file,
             path: path.to_path_buf(),
             sync,
             bytes_written,
@@ -341,20 +513,39 @@ impl WalWriter {
         })
     }
 
-    /// Atomically replaces the WAL contents with `records` (checkpoint
-    /// pruning): the new log is written to a temporary file, fsynced,
-    /// renamed over the old one, and this writer is re-pointed at it so
-    /// later appends land in the replacement file.
-    pub fn rewrite(&mut self, records: &[WalRecord]) -> Result<()> {
+    /// Checkpoint pruning: atomically replaces the log with only its
+    /// records of epoch above `floor`. The kept frames are streamed into a
+    /// temporary file, which is fsynced, renamed over the log, and made
+    /// durable by syncing the directory; this writer is then re-pointed at
+    /// it so later appends land in the replacement file.
+    pub fn prune_through(&mut self, floor: Timestamp) -> Result<()> {
         let tmp = self.path.with_extension("tmp");
         {
-            let mut w = WalWriter::open(&tmp, SyncMode::Fsync)?;
-            w.append_group(records)?;
+            let _ = std::fs::remove_file(&tmp);
+            let mut out = WalWriter::open(&tmp, SyncMode::Fsync)?;
+            if self.path.exists() {
+                let mut reader = FrameReader::open(&self.path, 0)?;
+                let mut buf = Vec::new();
+                while let Some(payload) = reader.next_payload()? {
+                    if payload_epoch(payload)? > floor {
+                        put_u32(&mut buf, RECORD_MAGIC);
+                        put_bytes(&mut buf, payload);
+                        put_u64(&mut buf, checksum(payload));
+                    }
+                    if buf.len() >= 1 << 20 {
+                        out.write_frames(&buf)?;
+                        buf.clear();
+                    }
+                }
+                out.write_frames(&buf)?;
+            }
+            out.sync()?;
         }
         std::fs::rename(&tmp, &self.path)?;
+        sync_dir(parent_dir(&self.path))?;
         let file = OpenOptions::new().create(true).append(true).open(&self.path)?;
         self.bytes_written = file.metadata()?.len();
-        self.file = BufWriter::new(file);
+        self.file = file;
         // Byte offsets held by WAL tails refer to the replaced file; the
         // generation bump tells them to re-scan from the start.
         self.generation += 1;
@@ -366,39 +557,40 @@ impl WalWriter {
         &self.path
     }
 
-    /// Rewrite counter: bumped whenever [`WalWriter::rewrite`] replaces the
-    /// file, invalidating any byte offset captured against the old one.
+    /// Rewrite counter: bumped whenever [`WalWriter::prune_through`]
+    /// replaces the file, invalidating any byte offset captured against the
+    /// old one.
     pub fn generation(&self) -> u64 {
         self.generation
     }
 
-    /// Appends a batch of records as one buffered write, without making them
+    /// Appends already-encoded frames with one `write`, without making them
     /// durable. Callers pair this with [`WalWriter::sync`]; the split lets a
     /// flush leader pay the sync cost (fsync latency, or the `Simulated`
     /// sleep) exactly once per batch rather than once per append.
-    pub fn append_frames(&mut self, records: &[WalRecord]) -> Result<()> {
-        let mut buf = Vec::with_capacity(records.len() * 64);
-        for record in records {
-            let payload = record.encode_payload();
-            put_u32(&mut buf, RECORD_MAGIC);
-            put_u32(&mut buf, payload.len() as u32);
-            buf.extend_from_slice(&payload);
-            put_u64(&mut buf, checksum(&payload));
-        }
+    fn write_frames(&mut self, mut bytes: &[u8]) -> Result<()> {
         if let SyncMode::CrashAt(limit) = self.sync {
             // The device died at byte `limit`: persist the prefix below it,
             // drop the rest on the floor, and keep reporting success.
             let room = limit.saturating_sub(self.bytes_written) as usize;
-            let keep = buf.len().min(room);
-            if keep < buf.len() {
+            if room < bytes.len() {
                 self.torn = true;
+                bytes = &bytes[..room];
             }
-            buf.truncate(keep);
         }
-        self.file.write_all(&buf)?;
-        self.bytes_written += buf.len() as u64;
-        self.file.flush()?;
+        self.file.write_all(bytes)?;
+        self.bytes_written += bytes.len() as u64;
         Ok(())
+    }
+
+    /// Appends a batch of records as one write, without making them
+    /// durable; pair it with [`WalWriter::sync`].
+    pub fn append_frames(&mut self, records: &[WalRecord]) -> Result<()> {
+        let mut buf = Vec::with_capacity(records.len() * 64);
+        for record in records {
+            encode_frame(&mut buf, record.epoch, &record.ops);
+        }
+        self.write_frames(&buf)
     }
 
     /// Makes previously appended frames durable according to the sync mode:
@@ -407,7 +599,7 @@ impl WalWriter {
     pub fn sync(&mut self) -> Result<()> {
         match self.sync {
             SyncMode::Fsync => {
-                self.file.get_ref().sync_data()?;
+                self.file.sync_data()?;
                 self.fsyncs += 1;
             }
             SyncMode::NoSync => {}
@@ -418,7 +610,7 @@ impl WalWriter {
             SyncMode::CrashAt(_) => {
                 // Keep the surviving prefix honest on the host filesystem;
                 // the ack itself is the lie being injected.
-                self.file.get_ref().sync_data()?;
+                self.file.sync_data()?;
                 if !self.torn {
                     self.fsyncs += 1;
                 }
@@ -427,9 +619,8 @@ impl WalWriter {
         Ok(())
     }
 
-    /// Appends a batch of records (one commit group) and makes them durable
-    /// according to the sync mode. This is the group-commit write: a single
-    /// buffered write + fsync covers every transaction of the group.
+    /// Appends a batch of records and makes them durable according to the
+    /// sync mode: one write + one sync covers every record.
     pub fn append_group(&mut self, records: &[WalRecord]) -> Result<()> {
         self.append_frames(records)?;
         self.sync()
@@ -453,15 +644,19 @@ impl WalWriter {
 }
 
 /// Group-commit coordinator wrapped around one [`WalWriter`] (§5 of the
-/// paper, extended across transactions): committers enqueue their records
-/// and block until a flush covers them; the first committer to find no
-/// flush in progress becomes the *flush leader*, optionally lingers
-/// [`GroupCommitConfig::max_wait`] for more joiners, drains up to
-/// [`GroupCommitConfig::max_batch`] records, writes them as one buffered
-/// batch, issues a single sync for the whole group, then wakes everyone
-/// whose records are now durable. Leadership is transient — it lasts for
-/// one flush — so while a leader sits in `fsync`, newly arriving
-/// committers queue up and the next leader flushes them all at once.
+/// paper): committers [`stage`](GroupWal::stage) their frames and block
+/// until a flush covers them. The first committer to find no flush in
+/// progress becomes the *flush leader*: it optionally lingers
+/// [`GroupCommitConfig::max_wait`] for more joiners, takes up to
+/// [`GroupCommitConfig::max_batch`] staged records, writes them with one
+/// `write(2)`, issues a single sync for the whole batch, then wakes the
+/// committers parked behind it. Leadership is transient — it lasts for one
+/// flush — so while a leader sits in `fsync`, newly arriving committers
+/// stage their frames and the next leader flushes them all at once.
+///
+/// Nothing here wakes a thread that is not parked: the condvar is signalled
+/// only when its waiter count is non-zero (each notify is a futex syscall
+/// even when nobody waits).
 pub struct GroupWal {
     writer: Mutex<WalWriter>,
     queue: Mutex<GroupQueue>,
@@ -469,21 +664,35 @@ pub struct GroupWal {
     config: GroupCommitConfig,
     groups: AtomicU64,
     group_records: AtomicU64,
+    /// Flush batch sizes go to `livegraph_wal_batch_records_total` once
+    /// the engine installs its registry.
+    telemetry: Option<Arc<Telemetry>>,
 }
 
 struct GroupQueue {
-    /// Records accepted but not yet covered by a completed flush, in
-    /// enqueue order (== epoch order: enqueues happen under the commit
-    /// clock's tracker lock).
-    pending: VecDeque<WalRecord>,
-    /// Total records ever enqueued; a committer's ticket is this count
-    /// right after its own records were pushed.
+    /// Encoded frames staged but not yet taken by a flush leader, in stage
+    /// order (== epoch order: staging happens under the commit clock).
+    staged: Vec<u8>,
+    /// End offset in `staged` of each staged frame, so a leader can take a
+    /// `max_batch` prefix and leave the rest for the next leader.
+    ends: VecDeque<usize>,
+    /// The buffer the previous leader wrote, handed back cleared; the next
+    /// leader swaps it in, so the steady state does not allocate.
+    spare: Vec<u8>,
+    /// Total records ever staged; a committer's ticket is this count right
+    /// after its own frame was staged.
     enqueued: u64,
     /// Total records covered by completed flushes. `durable >= ticket`
-    /// means that committer's records hit the device.
+    /// means that committer's record hit the device.
     durable: u64,
-    /// True while some committer is draining/writing/syncing a batch.
+    /// True while some committer is taking/writing/syncing a batch.
     flush_in_progress: bool,
+    /// True while the flush leader lingers for joiners: the only time a
+    /// stage has anyone to wake.
+    lingering: bool,
+    /// Threads parked on `queue_cv` (followers, WAL tails, a lingering
+    /// leader); flushes notify only when this is non-zero.
+    waiters: usize,
     /// Sticky first I/O failure: a WAL that can no longer persist must
     /// fail every later commit rather than ack writes it silently lost.
     poisoned: Option<String>,
@@ -495,32 +704,67 @@ impl GroupWal {
         Self {
             writer: Mutex::new(writer),
             queue: Mutex::new(GroupQueue {
-                pending: VecDeque::new(),
+                staged: Vec::new(),
+                ends: VecDeque::new(),
+                spare: Vec::new(),
                 enqueued: 0,
                 durable: 0,
                 flush_in_progress: false,
+                lingering: false,
+                waiters: 0,
                 poisoned: None,
             }),
             queue_cv: Condvar::new(),
             config,
             groups: AtomicU64::new(0),
             group_records: AtomicU64::new(0),
+            telemetry: None,
         }
     }
 
-    /// Accepts a committer's records into the flush queue and returns the
-    /// ticket to pass to [`GroupWal::wait_durable`]. Never blocks on I/O.
-    /// Multi-record submissions stay contiguous in the log.
-    pub fn enqueue(&self, records: Vec<WalRecord>) -> u64 {
-        debug_assert!(!records.is_empty());
+    /// Installs the engine's telemetry registry (flush batch sizes).
+    pub(crate) fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
+        self.telemetry = Some(telemetry);
+    }
+
+    /// Encodes the record `(epoch, ops)` straight into the staging buffer
+    /// and returns the ticket to pass to [`GroupWal::wait_durable`]. Never
+    /// blocks on I/O. Callers stage under the commit clock so that staging
+    /// order — and hence file order — is epoch order. Lock order: the clock,
+    /// then this queue; flush leaders take the queue and the writer, never
+    /// the clock.
+    pub fn stage(&self, epoch: Timestamp, ops: &[WalOp]) -> u64 {
         let mut q = self.queue.lock();
-        q.enqueued += records.len() as u64;
-        q.pending.extend(records);
-        let ticket = q.enqueued;
-        // Wake a leader lingering for joiners (and idle followers, who
-        // re-check and go back to sleep).
-        self.queue_cv.notify_all();
-        ticket
+        encode_frame(&mut q.staged, epoch, ops);
+        let end = q.staged.len();
+        q.ends.push_back(end);
+        q.enqueued += 1;
+        if q.lingering {
+            // The only parked thread a stage can help: a leader waiting
+            // for its batch to fill.
+            self.queue_cv.notify_all();
+        }
+        q.enqueued
+    }
+
+    /// Parks on the queue condvar (for at most `timeout`, if given),
+    /// counted in `waiters` so that flushes know someone needs a wake-up.
+    /// Returns true if the wait timed out.
+    fn park(
+        &self,
+        q: &mut MutexGuard<'_, GroupQueue>,
+        timeout: Option<std::time::Duration>,
+    ) -> bool {
+        q.waiters += 1;
+        let timed_out = match timeout {
+            Some(t) => self.queue_cv.wait_for(q, t).timed_out(),
+            None => {
+                self.queue_cv.wait(q);
+                false
+            }
+        };
+        q.waiters -= 1;
+        timed_out
     }
 
     /// Blocks until every record at or below `ticket` is durable, flushing
@@ -537,37 +781,55 @@ impl GroupWal {
             if q.flush_in_progress {
                 // Follower: a leader's sync will cover us (or the next
                 // leader will). Condvar handoff, no spinning.
-                self.queue_cv.wait(&mut q);
+                self.park(&mut q, None);
                 continue;
             }
             // Leader for one batch. Optionally linger for joiners.
             q.flush_in_progress = true;
             if !self.config.max_wait.is_zero() {
                 let deadline = Instant::now() + self.config.max_wait;
-                while q.pending.len() < self.config.max_batch {
+                q.lingering = true;
+                while q.ends.len() < self.config.max_batch {
                     let now = Instant::now();
-                    if now >= deadline
-                        || self
-                            .queue_cv
-                            .wait_for(&mut q, deadline - now)
-                            .timed_out()
-                    {
+                    if now >= deadline || self.park(&mut q, Some(deadline - now)) {
                         break;
                     }
                 }
+                q.lingering = false;
             }
-            let take = q.pending.len().min(self.config.max_batch.max(1));
-            let batch: Vec<WalRecord> = q.pending.drain(..take).collect();
+            // Take a prefix of at most `max_batch` staged frames. Taking
+            // everything is a buffer swap; a split copies the prefix out
+            // and leaves the rest staged for the next leader.
+            let take = q.ends.len().min(self.config.max_batch.max(1));
+            debug_assert!(take > 0, "an undurable ticket implies a staged frame");
+            let mut batch = std::mem::take(&mut q.spare);
+            if take == q.ends.len() {
+                std::mem::swap(&mut batch, &mut q.staged);
+                q.ends.clear();
+            } else {
+                let cut = q.ends[take - 1];
+                batch.extend_from_slice(&q.staged[..cut]);
+                q.staged.drain(..cut);
+                q.ends.drain(..take);
+                for end in q.ends.iter_mut() {
+                    *end -= cut;
+                }
+            }
             drop(q);
+            if let Some(tel) = self.telemetry.as_ref().filter(|t| t.enabled()) {
+                tel.wal_batch_records_total.observe(take as u64);
+            }
             let flushed = {
                 let mut w = self.writer.lock();
-                w.append_frames(&batch).and_then(|()| w.sync())
+                w.write_frames(&batch).and_then(|()| w.sync())
             };
             q = self.queue.lock();
             q.flush_in_progress = false;
             match flushed {
                 Ok(()) => {
-                    q.durable += batch.len() as u64;
+                    q.durable += take as u64;
+                    batch.clear();
+                    q.spare = batch;
                     // Statistics counters; durability itself is published
                     // via `q.durable` under the lock. Publication order
                     // matters for the *weak snapshot* invariant
@@ -575,8 +837,7 @@ impl GroupWal {
                     // the records first, then publish the group count.
                     // ORDERING: Relaxed — covered by the Release below;
                     // no reader may see `groups` without these records.
-                    self.group_records
-                        .fetch_add(batch.len() as u64, Ordering::Relaxed);
+                    self.group_records.fetch_add(take as u64, Ordering::Relaxed);
                     // ORDERING: Release pairs with the Acquire load in
                     // `stats()`, so a snapshot that observes this group
                     // also observes its records — every batch has ≥ 1
@@ -585,27 +846,29 @@ impl GroupWal {
                     self.groups.fetch_add(1, Ordering::Release);
                 }
                 Err(e) => {
-                    // The drained records are gone and their committers
+                    // The taken records are gone and their committers
                     // must not be acked; fail them (and all later ones).
                     q.poisoned = Some(e.to_string());
                 }
             }
-            self.queue_cv.notify_all();
+            if q.waiters > 0 {
+                self.queue_cv.notify_all();
+            }
         }
     }
 
     /// Blocks until the count of durably flushed records differs from
     /// `last` (or the WAL is poisoned), or `timeout` elapses; returns the
     /// current count either way. WAL tails use this to sleep between polls
-    /// instead of spinning: every flush (and every enqueue) signals the
-    /// queue condvar, so a tail wakes as soon as new records can possibly
-    /// be on the device.
+    /// instead of spinning: every flush signals the queue condvar while
+    /// anyone is parked on it, so a tail wakes as soon as new records can
+    /// possibly be on the device.
     pub fn wait_durable_change(&self, last: u64, timeout: std::time::Duration) -> u64 {
         let deadline = Instant::now() + timeout;
         let mut q = self.queue.lock();
         while q.durable == last && q.poisoned.is_none() {
             let now = Instant::now();
-            if now >= deadline || self.queue_cv.wait_for(&mut q, deadline - now).timed_out() {
+            if now >= deadline || self.park(&mut q, Some(deadline - now)) {
                 break;
             }
         }
@@ -635,8 +898,8 @@ impl GroupWal {
     }
 
     /// Runs `f` with the underlying writer locked (checkpoint pruning uses
-    /// this to rewrite the log). Queued-but-unflushed records are *not*
-    /// visible to `f`; they land after it returns, appended by their flush
+    /// this to rewrite the log). Staged-but-unflushed records are *not*
+    /// visible to `f`; they land after it returns, written by their flush
     /// leader — correct for pruning, which only drops already-durable
     /// records at or below a snapshot epoch.
     pub fn with_writer<R>(&self, f: impl FnOnce(&mut WalWriter) -> R) -> R {
@@ -644,10 +907,74 @@ impl GroupWal {
     }
 }
 
+/// Streams checksummed frames from a log file, one payload at a time, into
+/// a single reused buffer.
+///
+/// A frame ends the stream — without an error — when its header is
+/// incomplete, its magic is wrong, it extends past the end of the file, or
+/// its checksum does not match: that is the expected state of a log torn
+/// by a crash mid-write.
+struct FrameReader {
+    file: BufReader<File>,
+    buf: Vec<u8>,
+    /// Offset just past the last complete frame returned.
+    offset: u64,
+    /// File length when opened; frames appended later are left for the
+    /// next reader.
+    end: u64,
+}
+
+impl FrameReader {
+    /// Opens `path` positioned at `offset`, which must be a frame boundary.
+    fn open(path: &Path, offset: u64) -> Result<Self> {
+        let mut file = File::open(path)?;
+        let end = file.metadata()?.len();
+        file.seek(SeekFrom::Start(offset))?;
+        Ok(Self {
+            file: BufReader::with_capacity(1 << 16, file),
+            buf: Vec::new(),
+            offset,
+            end: end.max(offset),
+        })
+    }
+
+    /// The next intact payload, or `None` at the end of the valid prefix.
+    fn next_payload(&mut self) -> Result<Option<&[u8]>> {
+        if self.end - self.offset < FRAME_OVERHEAD {
+            return Ok(None);
+        }
+        let mut header = [0u8; 8];
+        self.file.read_exact(&mut header)?;
+        let magic = u32::from_le_bytes(header[..4].try_into().unwrap());
+        let len = u32::from_le_bytes(header[4..].try_into().unwrap()) as usize;
+        if magic != RECORD_MAGIC || self.end - self.offset < FRAME_OVERHEAD + len as u64 {
+            // Bad magic, or a torn (or still being appended) tail.
+            self.end = self.offset;
+            return Ok(None);
+        }
+        self.buf.resize(len + 8, 0);
+        self.file.read_exact(&mut self.buf)?;
+        let (payload, stored) = self.buf.split_at(len);
+        if checksum(payload) != u64::from_le_bytes(stored.try_into().unwrap()) {
+            // Torn or corrupt tail.
+            self.end = self.offset;
+            return Ok(None);
+        }
+        self.offset += FRAME_OVERHEAD + len as u64;
+        Ok(Some(&self.buf[..len]))
+    }
+}
+
+/// The epoch of a record payload, without decoding its ops.
+fn payload_epoch(payload: &[u8]) -> Result<Timestamp> {
+    Ok(Cursor::new(payload).u64()? as Timestamp)
+}
+
 /// Reads all complete, checksummed records from a WAL file.
 ///
 /// A truncated or corrupt tail terminates the scan without an error (that is
-/// the expected crash state); corruption *before* valid records is reported.
+/// the expected crash state); a checksummed record that does not decode is
+/// reported as [`Error::Corruption`].
 pub fn read_wal(path: &Path) -> Result<Vec<WalRecord>> {
     read_wal_from(path, 0).map(|(records, _)| records)
 }
@@ -657,34 +984,41 @@ pub fn read_wal(path: &Path) -> Result<Vec<WalRecord>> {
 /// the next incremental read). This is the WAL-tailing primitive: `offset`
 /// must be a frame boundary previously returned by this function (or 0).
 pub fn read_wal_from(path: &Path, offset: u64) -> Result<(Vec<WalRecord>, u64)> {
-    use std::io::{Seek, SeekFrom};
-    let mut file = File::open(path)?;
-    file.seek(SeekFrom::Start(offset))?;
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes)?;
+    let mut reader = FrameReader::open(path, offset)?;
     let mut records = Vec::new();
-    let mut pos = 0usize;
-    while pos + 16 <= bytes.len() {
-        let magic = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
-        if magic != RECORD_MAGIC {
-            break;
-        }
-        let len = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap()) as usize;
-        let payload_start = pos + 8;
-        let payload_end = payload_start + len;
-        let frame_end = payload_end + 8;
-        if frame_end > bytes.len() {
-            break; // torn (or still being appended) tail
-        }
-        let payload = &bytes[payload_start..payload_end];
-        let stored = u64::from_le_bytes(bytes[payload_end..frame_end].try_into().unwrap());
-        if checksum(payload) != stored {
-            break; // torn or corrupt tail
-        }
+    while let Some(payload) = reader.next_payload()? {
         records.push(WalRecord::decode_payload(payload)?);
-        pos = frame_end;
     }
-    Ok((records, offset + pos as u64))
+    Ok((records, reader.offset))
+}
+
+/// Streams the records of a WAL (or checkpoint) file through `f`, in file
+/// order, with the same tail rules as [`read_wal_from`]. Each call gets the
+/// record's epoch and its ops, decoded into one reused `Vec` and borrowing
+/// their payloads from one reused read buffer — nothing is allocated per
+/// record or per op once the buffers have grown.
+pub fn for_each_record(
+    path: &Path,
+    mut f: impl FnMut(Timestamp, &[WalOpRef<'_>]) -> Result<()>,
+) -> Result<()> {
+    let mut reader = FrameReader::open(path, 0)?;
+    let mut spare: Vec<WalOpRef<'static>> = Vec::new();
+    while let Some(payload) = reader.next_payload()? {
+        let mut ops = recycle(std::mem::take(&mut spare));
+        let epoch = decode_payload_into(payload, &mut ops)?;
+        f(epoch, &ops)?;
+        spare = recycle(ops);
+    }
+    Ok(())
+}
+
+/// Empties `ops` and hands its allocation back with a fresh borrow
+/// lifetime (an in-place `collect` of an empty iterator keeps the buffer).
+fn recycle<'b>(mut ops: Vec<WalOpRef<'_>>) -> Vec<WalOpRef<'b>> {
+    ops.clear();
+    ops.into_iter()
+        .map(|_| -> WalOpRef<'b> { unreachable!("the vector is empty") })
+        .collect()
 }
 
 #[cfg(test)]
@@ -839,8 +1173,8 @@ mod tests {
                 let wal = Arc::clone(&wal);
                 std::thread::spawn(move || {
                     for i in 0..PER_THREAD {
-                        let ticket =
-                            wal.enqueue(vec![sample_record((t * PER_THREAD + i + 1) as Timestamp)]);
+                        let epoch = (t * PER_THREAD + i + 1) as Timestamp;
+                        let ticket = wal.stage(epoch, &sample_record(epoch).ops);
                         wal.wait_durable(ticket).unwrap();
                     }
                 })
@@ -867,24 +1201,99 @@ mod tests {
             .with_max_batch(64)
             .with_max_wait(std::time::Duration::from_millis(5));
         let wal = GroupWal::new(writer, cfg);
-        let ticket = wal.enqueue(vec![sample_record(1)]);
+        let ticket = wal.stage(1, &sample_record(1).ops);
         wal.wait_durable(ticket).unwrap();
         assert_eq!(wal.stats().group_records, 1);
         assert_eq!(read_wal(&path).unwrap().len(), 1);
     }
 
     #[test]
-    fn group_wal_multi_record_submission_stays_contiguous() {
+    fn group_wal_stage_order_is_file_order() {
         let dir = tempfile::tempdir().unwrap();
         let path = dir.path().join("wal.log");
         let writer = WalWriter::open(&path, SyncMode::NoSync).unwrap();
         let wal = GroupWal::new(writer, GroupCommitConfig::default());
-        let t1 = wal.enqueue(vec![sample_record(1), sample_record(2)]);
-        let t2 = wal.enqueue(vec![sample_record(3)]);
-        wal.wait_durable(t2).unwrap();
-        wal.wait_durable(t1).unwrap();
+        let tickets: Vec<u64> = (1..=3).map(|e| wal.stage(e, &sample_record(e).ops)).collect();
+        assert_eq!(tickets, vec![1, 2, 3]);
+        wal.wait_durable(3).unwrap();
+        wal.wait_durable(1).unwrap();
+        let records = read_wal(&path).unwrap();
+        assert_eq!(records, (1..=3).map(sample_record).collect::<Vec<_>>());
+        assert_eq!(wal.stats().groups, 1, "one leader flushed all three");
+    }
+
+    /// A leader takes at most `max_batch` staged frames; the rest stay
+    /// staged, in order, until the next leader takes them.
+    #[test]
+    fn group_wal_max_batch_splits_and_leaves_the_rest_to_the_next_leader() {
+        use std::sync::Arc;
+        let dir = tempfile::tempdir().unwrap();
+        let path = dir.path().join("wal.log");
+        let writer = WalWriter::open(&path, SyncMode::NoSync).unwrap();
+        let wal = Arc::new(GroupWal::new(
+            writer,
+            GroupCommitConfig::default().with_max_batch(2),
+        ));
+        let tickets: Vec<u64> = (1..=5).map(|e| wal.stage(e, &sample_record(e).ops)).collect();
+        assert_eq!(tickets, vec![1, 2, 3, 4, 5]);
+        // The first leader flushes one batch of two and returns.
+        wal.wait_durable(tickets[1]).unwrap();
+        let stats = wal.stats();
+        assert_eq!((stats.groups, stats.group_records), (1, 2));
+        let epochs = |p: &Path| read_wal(p).unwrap().iter().map(|r| r.epoch).collect::<Vec<_>>();
+        assert_eq!(epochs(&path), vec![1, 2], "records 3..=5 are left staged");
+        // The next leader, on another thread, flushes what was left.
+        let next = {
+            let wal = Arc::clone(&wal);
+            std::thread::spawn(move || wal.wait_durable(5))
+        };
+        next.join().unwrap().unwrap();
+        for &t in &tickets {
+            wal.wait_durable(t).unwrap();
+        }
+        let stats = wal.stats();
+        assert_eq!((stats.groups, stats.group_records), (3, 5), "batches of 2, 2, 1");
+        assert_eq!(read_wal(&path).unwrap(), (1..=5).map(sample_record).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn streaming_reader_borrows_ops_and_stops_at_a_torn_tail() {
+        let dir = tempfile::tempdir().unwrap();
+        let path = dir.path().join("wal.log");
+        {
+            let mut w = WalWriter::open(&path, SyncMode::NoSync).unwrap();
+            w.append_group(&[sample_record(1), sample_record(2)]).unwrap();
+        }
+        {
+            use std::io::Write as _;
+            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+            f.write_all(&RECORD_MAGIC.to_le_bytes()).unwrap();
+            f.write_all(&1000u32.to_le_bytes()).unwrap();
+            f.write_all(&[0u8; 16]).unwrap();
+        }
+        let mut seen = Vec::new();
+        for_each_record(&path, |epoch, ops| {
+            let ops: Vec<WalOp> = ops.iter().map(|op| op.into_owned()).collect();
+            seen.push(WalRecord { epoch, ops });
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(seen, vec![sample_record(1), sample_record(2)]);
+        assert_eq!(seen, read_wal(&path).unwrap(), "same tail rules as read_wal");
+    }
+
+    #[test]
+    fn prune_keeps_only_records_above_the_floor() {
+        let dir = tempfile::tempdir().unwrap();
+        let path = dir.path().join("wal.log");
+        let mut w = WalWriter::open(&path, SyncMode::NoSync).unwrap();
+        w.append_group(&(1..=4).map(sample_record).collect::<Vec<_>>()).unwrap();
+        w.prune_through(2).unwrap();
+        assert_eq!(w.generation(), 1);
+        w.append_group(&[sample_record(5)]).unwrap();
+        assert_eq!(w.bytes_written(), std::fs::metadata(&path).unwrap().len());
         let epochs: Vec<_> = read_wal(&path).unwrap().iter().map(|r| r.epoch).collect();
-        assert_eq!(epochs, vec![1, 2, 3], "enqueue order is file order");
+        assert_eq!(epochs, vec![3, 4, 5]);
     }
 
     #[test]

@@ -1,17 +1,18 @@
-//! Model-checked group commit: the `GroupWal` flush-leader handoff and the
-//! `GroupClock` epoch/GRE protocol, explored over every interleaving the
-//! bounded scheduler allows. A lost durability ticket or a lost GRE wakeup
-//! shows up as a model deadlock; an order violation as an assertion.
+//! Model-checked group commit: the `GroupWal` staging buffer and
+//! flush-leader handoff and the `GroupClock` epoch/GRE protocol, explored
+//! over every interleaving the bounded scheduler allows. A lost durability
+//! ticket or a lost GRE wakeup shows up as a model deadlock; an order
+//! violation as an assertion.
 //!
 //! Run with `RUSTFLAGS="--cfg livegraph_loom" cargo test -p livegraph-core
 //! --test model_commit`.
 #![cfg(livegraph_loom)]
 
 use livegraph_core::sync::{thread, Arc, Mutex};
-use livegraph_core::wal::{GroupCommitConfig, GroupWal, SyncMode, WalRecord, WalWriter};
+use livegraph_core::wal::{read_wal, GroupCommitConfig, GroupWal, SyncMode, WalWriter};
 use livegraph_core::{EpochManager, GroupClock};
 
-// Two committers race enqueue + wait_durable on one WAL. Whoever finds no
+// Two committers race stage + wait_durable on one WAL. Whoever finds no
 // flush in progress becomes the leader and must cover (or hand off to a
 // leader that covers) the other's ticket; losing a ticket — leader retires
 // without a follower ever being woken — is a deadlock the checker reports.
@@ -30,10 +31,7 @@ fn group_wal_never_loses_a_durability_ticket() {
             .map(|t| {
                 let wal = Arc::clone(&wal);
                 thread::spawn(move || {
-                    let ticket = wal.enqueue(vec![WalRecord {
-                        epoch: t + 1,
-                        ops: Vec::new(),
-                    }]);
+                    let ticket = wal.stage(t + 1, &[]);
                     wal.wait_durable(ticket).unwrap();
                 })
             })
@@ -46,12 +44,12 @@ fn group_wal_never_loses_a_durability_ticket() {
     let _ = std::fs::remove_file(&path_outer);
 }
 
-// Epoch assignment and WAL enqueue happen atomically under the tracker
+// Epoch assignment and WAL staging happen atomically under the tracker
 // lock (`begin_group_with`), so the per-log record order can never invert
 // the epoch order — the invariant the crash-recovery oracle relies on
 // (a torn tail is always an epoch-prefix).
 #[test]
-fn wal_enqueue_order_matches_epoch_order() {
+fn wal_stage_order_matches_epoch_order() {
     loom::model(|| {
         let epochs = Arc::new(EpochManager::new(4));
         let clock = GroupClock::new();
@@ -77,6 +75,50 @@ fn wal_enqueue_order_matches_epoch_order() {
         assert_eq!(logged, vec![1, 2], "log order must equal epoch order");
         assert_eq!(epochs.gre(), 2, "both applies done: GRE fully advanced");
     });
+}
+
+// The whole commit path with `max_batch = 1`: two committers take epochs
+// and stage their frames under the clock while the main thread, which
+// staged first, leads a flush that can take only one frame per batch. The
+// rest must be split off and flushed by later leaders: no ticket may be
+// lost (a deadlock), every batch holds one record, and the file holds the
+// three frames in epoch order.
+#[test]
+fn staged_frames_flush_in_epoch_order_under_max_batch_one() {
+    let path = std::env::temp_dir().join(format!(
+        "livegraph-model-stage-{}.wal",
+        std::process::id()
+    ));
+    let path_outer = path.clone();
+    loom::model(move || {
+        let _ = std::fs::remove_file(&path);
+        let writer = WalWriter::open(&path, SyncMode::NoSync).unwrap();
+        let config = GroupCommitConfig::default().with_max_batch(1);
+        let wal = Arc::new(GroupWal::new(writer, config));
+        let epochs = Arc::new(EpochManager::new(4));
+        let clock = GroupClock::new();
+        let commit = {
+            let (wal, epochs, clock) = (Arc::clone(&wal), Arc::clone(&epochs), Arc::clone(&clock));
+            move || {
+                let (epoch, ticket) = clock.begin_group_with(&epochs, 1, |e| wal.stage(e, &[]));
+                wal.wait_durable(ticket).unwrap();
+                clock.finish_apply(&epochs, epoch);
+            }
+        };
+        let (first, ticket) = clock.begin_group_with(&epochs, 1, |e| wal.stage(e, &[]));
+        let joins: Vec<_> = (0..2).map(|_| thread::spawn(commit.clone())).collect();
+        wal.wait_durable(ticket).unwrap();
+        clock.finish_apply(&epochs, first);
+        for j in joins {
+            j.join().unwrap();
+        }
+        let stats = wal.stats();
+        assert_eq!((stats.groups, stats.group_records), (3, 3), "one record per batch");
+        let logged: Vec<i64> = read_wal(&path).unwrap().iter().map(|r| r.epoch).collect();
+        assert_eq!(logged, vec![1, 2, 3], "file order must equal epoch order");
+        assert_eq!(epochs.gre(), 3);
+    });
+    let _ = std::fs::remove_file(&path_outer);
 }
 
 // A committer blocked in `wait_for_gre` must always see the advance

@@ -213,14 +213,26 @@ mod tests {
         assert!((v - 0.002001).abs() < 1e-9, "sum {v}");
     }
 
+    /// `livegraph_wal_batch_records_total` is a record count, not seconds,
+    /// and the WAL flush leader observes it for every batch: eight serial
+    /// commits are eight one-record batches, none sampled away.
     #[test]
     fn non_seconds_histograms_stay_raw() {
-        let mut snap = MetricsSnapshot::default();
-        let h = livegraph_core::telemetry::histogram("livegraph_wal_batch_records_total");
-        h.observe(4);
-        h.observe(4);
-        snap.histograms.push(h.snapshot());
-        let text = render_exposition(&snap);
+        let dir = tempfile::tempdir().unwrap();
+        let graph = LiveGraph::open(
+            LiveGraphOptions::durable(dir.path())
+                .with_capacity(1 << 22)
+                .with_max_vertices(1 << 10)
+                .with_sync_mode(livegraph_core::SyncMode::NoSync),
+        )
+        .unwrap();
+        for i in 0..8u8 {
+            let mut txn = graph.begin_write().unwrap();
+            txn.create_vertex(&[i]).unwrap();
+            txn.commit().unwrap();
+        }
+        let text = render_exposition(&graph.metrics());
+        assert!(text.contains("livegraph_wal_batch_records_total_count 8"), "{text}");
         assert!(text.contains("livegraph_wal_batch_records_total_sum 8"), "{text}");
     }
 

@@ -335,16 +335,18 @@ struct HandoffRegistry {
 }
 
 impl HandoffRegistry {
-    /// Records a new streamer, first joining the ones that already ended: a
-    /// replica reconnects after every link fault, so without this each
-    /// reconnect would leave a finished thread (and its stack) behind until
-    /// shutdown. Joining a finished thread does not block.
-    fn register(&self, stream: TcpStream, handle: JoinHandle<()>) {
+    /// Starts and records a new streamer, first joining the ones that
+    /// already ended: a replica reconnects after every link fault, so
+    /// without this each reconnect would leave a finished thread (and its
+    /// stack) behind until shutdown. Joining a finished thread does not
+    /// block. The thread is spawned under the registry lock, so whoever has
+    /// seen its first reply also finds it registered.
+    fn spawn(&self, stream: TcpStream, f: impl FnOnce() + Send + 'static) {
         let mut streamers = self.streamers.lock();
         while let Some(i) = streamers.iter().position(|(_, t)| t.is_finished()) {
             let _ = streamers.swap_remove(i).1.join();
         }
-        streamers.push((stream, handle));
+        streamers.push((stream, std::thread::spawn(f)));
     }
 
     fn kill_and_join(&self) {
@@ -683,7 +685,7 @@ fn handoff_replica(
     };
     let engine = Arc::clone(engine);
     let replication = Arc::clone(replication);
-    let handle = std::thread::spawn(move || {
+    handoffs.spawn(kill_handle, move || {
         let reader = std::io::BufReader::new(read_half);
         let _ =
             replication::serve_replica(&engine, &replication, &stream, reader, corr, last_epoch);
@@ -691,7 +693,6 @@ fn handoff_replica(
         // replica sees EOF and reconnects.
         let _ = stream.shutdown(std::net::Shutdown::Both);
     });
-    handoffs.register(kill_handle, handle);
 }
 
 fn update_interest(

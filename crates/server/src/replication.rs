@@ -332,7 +332,7 @@ impl ReplicationState {
 /// Splits an in-order run of WAL records into wire batches: split points
 /// honour [`MAX_BATCH_BYTES`] but *never* fall inside an epoch — a batch
 /// always carries whole epochs, so a replica that applies it commits only
-/// complete commit groups (partial epochs would later be skipped as
+/// complete epochs (partial epochs would later be skipped as
 /// idempotent redelivery and silently lose their remainder).
 fn cut_batches(records: &[WalRecord]) -> Vec<Vec<Vec<u8>>> {
     let mut out = Vec::new();
