@@ -76,16 +76,30 @@ impl BloomFilter {
         }
         let (block, mut h) = self.block_and_hash(key);
         for _ in 0..BLOOM_PROBES {
-            let bit = (h & 0x1FF) as usize; // 512 bits per 64-byte block
-            h >>= 9;
-            if h == 0 {
-                h = splitmix64(key ^ h.wrapping_add(0x9E37_79B9_7F4A_7C15));
-            }
-            let word = bit / 64;
-            let mask = 1u64 << (bit % 64);
+            let (word, mask) = next_probe(key, &mut h);
             // ORDERING: Relaxed — bloom bits are advisory; a racing reader
             // that misses a bit takes the conservative scan path.
             self.word(block, word).fetch_or(mask, Ordering::Relaxed);
+        }
+    }
+
+    /// Inserts a key into a filter no other thread can reach yet: the
+    /// filter of a TEL block that is still private to the thread filling it
+    /// (a block upgrade or a compaction rewrite). Sets the same bits as
+    /// [`BloomFilter::insert`] with a plain load, or and store per probe
+    /// instead of a locked read-modify-write.
+    pub fn insert_private(&self, key: u64) {
+        if self.is_empty() {
+            return;
+        }
+        let (block, mut h) = self.block_and_hash(key);
+        for _ in 0..BLOOM_PROBES {
+            let (word, mask) = next_probe(key, &mut h);
+            let word = self.word(block, word);
+            // ORDERING: Relaxed — the block is unpublished, so no other
+            // thread reads or writes these words; the Release store that
+            // later makes the block reachable publishes them.
+            word.store(word.load(Ordering::Relaxed) | mask, Ordering::Relaxed);
         }
     }
 
@@ -98,13 +112,7 @@ impl BloomFilter {
         }
         let (block, mut h) = self.block_and_hash(key);
         for _ in 0..BLOOM_PROBES {
-            let bit = (h & 0x1FF) as usize;
-            h >>= 9;
-            if h == 0 {
-                h = splitmix64(key ^ h.wrapping_add(0x9E37_79B9_7F4A_7C15));
-            }
-            let word = bit / 64;
-            let mask = 1u64 << (bit % 64);
+            let (word, mask) = next_probe(key, &mut h);
             // ORDERING: Relaxed — entries below the committed log size are
             // published by LS's Release store, never through bloom bits;
             // stale bits only cost an extra scan.
@@ -142,6 +150,18 @@ impl BloomFilter {
             &*p
         }
     }
+}
+
+/// The next probe of `key` within its filter block: the word index and the
+/// bit mask, taking 9 bits of the running hash `h` (512 bits per block).
+#[inline]
+fn next_probe(key: u64, h: &mut u64) -> (usize, u64) {
+    let bit = (*h & 0x1FF) as usize;
+    *h >>= 9;
+    if *h == 0 {
+        *h = splitmix64(key ^ h.wrapping_add(0x9E37_79B9_7F4A_7C15));
+    }
+    (bit / 64, 1u64 << (bit % 64))
 }
 
 /// SplitMix64 hash (public-domain constants), good avalanche for vertex IDs.
@@ -226,6 +246,17 @@ mod tests {
         bloom.clear();
         let present = (0..64u64).filter(|&k| bloom.may_contain(k)).count();
         assert_eq!(present, 0, "cleared filter must reject everything");
+    }
+
+    #[test]
+    fn private_insert_sets_the_same_bits_as_insert() {
+        let shared = OwnedBloom::new(1024);
+        let private = OwnedBloom::new(1024);
+        for key in 0..700u64 {
+            shared.view().insert(key * 31);
+            private.view().insert_private(key * 31);
+        }
+        assert_eq!(shared.buf, private.buf);
     }
 
     proptest! {

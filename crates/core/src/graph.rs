@@ -39,10 +39,15 @@ pub struct LiveGraphOptions {
     pub data_dir: Option<PathBuf>,
     /// Whether WAL flush batches `fsync` the log.
     pub sync_mode: SyncMode,
-    /// Number of commits between automatic compaction passes per worker
-    /// (the paper's default is 65 536 transactions).
+    /// Number of a worker's commits between compaction boundaries (the
+    /// paper's default is 65 536 transactions). At each boundary the
+    /// worker's dirty set becomes a work list that its commits work off in
+    /// bounded slices over the next interval.
     pub compaction_interval: u64,
-    /// Automatically run compaction every `compaction_interval` commits.
+    /// Compact automatically on the committing thread: every
+    /// `compaction_interval` commits a worker's dirty vertices are queued,
+    /// and they are compacted a slice (≤ ~0.5 ms) at a time, spread over
+    /// the following interval. Off, only [`LiveGraph::compact`] compacts.
     pub auto_compaction: bool,
     /// Deadlock-avoidance timeout for per-vertex locks.
     pub lock_timeout: Duration,
@@ -115,7 +120,8 @@ impl LiveGraphOptions {
         self
     }
 
-    /// Sets the automatic compaction interval (commits per worker).
+    /// Sets the automatic compaction interval: the number of a worker's
+    /// commits over which each boundary's work list is spread.
     pub fn with_compaction_interval(mut self, every: u64) -> Self {
         self.compaction_interval = every;
         self
@@ -678,7 +684,9 @@ impl LiveGraph {
         self.inner.next_vertex.load(Ordering::Acquire)
     }
 
-    /// Runs a full compaction pass over every dirty vertex (all workers).
+    /// Runs a full compaction pass over every dirty vertex and every
+    /// pending work list (all workers), skipping vertices an open
+    /// transaction holds locked (they stay queued for later).
     pub fn compact(&self) {
         crate::compaction::compact_all(&self.inner);
     }
@@ -779,6 +787,10 @@ pub(crate) fn push_engine_metrics(
     snap.push_counter(
         "livegraph_compaction_passes_total",
         stats.compaction.passes,
+    );
+    snap.push_gauge(
+        "livegraph_compaction_debt_entries",
+        i64::try_from(stats.compaction.debt).unwrap_or(i64::MAX),
     );
     snap.push_gauge("livegraph_read_epoch", stats.read_epoch);
     snap.push_gauge("livegraph_write_epoch", stats.write_epoch);

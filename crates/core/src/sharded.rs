@@ -47,6 +47,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::commit::GroupClock;
+use crate::compaction::CompactionStats;
 use crate::epoch::EpochManager;
 use crate::error::{Error, Result};
 use crate::graph::{EngineHooks, GraphStats, LiveGraph, LiveGraphOptions};
@@ -135,6 +136,21 @@ impl ShardedStats {
     /// True if any shard's WAL recorded a fault-injected tear.
     pub fn wal_torn(&self) -> bool {
         self.shards.iter().any(|s| s.wal_torn)
+    }
+
+    /// Compaction statistics summed over all shards.
+    pub fn compaction(&self) -> CompactionStats {
+        let sum = |field: fn(&CompactionStats) -> u64| -> u64 {
+            self.shards.iter().map(|s| field(&s.compaction)).sum()
+        };
+        CompactionStats {
+            passes: sum(|c| c.passes),
+            vertices_compacted: sum(|c| c.vertices_compacted),
+            blocks_freed: sum(|c| c.blocks_freed),
+            entries_dropped: sum(|c| c.entries_dropped),
+            retired_pending: sum(|c| c.retired_pending),
+            debt: sum(|c| c.debt),
+        }
     }
 }
 
@@ -342,6 +358,7 @@ impl ShardedGraph {
         flat.wal_groups = stats.wal_groups();
         flat.wal_group_records = stats.wal_group_records();
         flat.wal_torn = stats.wal_torn();
+        flat.compaction = stats.compaction();
         flat.read_epoch = stats.read_epoch;
         flat.write_epoch = stats.write_epoch;
         flat.scans = crate::graph::ScanStats {
@@ -1079,5 +1096,26 @@ mod tests {
         t.put_edge(a, 0, b, b"x").unwrap();
         t.commit().unwrap();
         assert_eq!(g.begin_read().unwrap().degree(a, 0), 1);
+    }
+
+    #[test]
+    fn compaction_debt_is_summed_over_shards_and_cleared_by_compact() {
+        let g = sharded(2);
+        let debt = |g: &ShardedGraph| g.metrics().gauge("livegraph_compaction_debt_entries").unwrap();
+        assert_eq!(debt(&g), 0);
+        let mut txn = g.begin_write().unwrap();
+        let vertices: Vec<VertexId> = (0..8).map(|_| txn.create_vertex(b"v").unwrap()).collect();
+        txn.commit().unwrap();
+        let after_create = debt(&g);
+        assert!(after_create >= 8, "8 vertices over 2 shards are dirty, debt {after_create}");
+        let mut txn = g.begin_write().unwrap();
+        txn.put_edge(vertices[0], DEFAULT_LABEL, vertices[1], b"e").unwrap();
+        txn.commit().unwrap();
+        assert_eq!(debt(&g), after_create, "a re-dirtied vertex is counted once");
+        let stats = g.stats();
+        assert!(stats.shards.iter().all(|s| s.compaction.debt > 0), "both shards carry debt");
+        assert_eq!(stats.compaction().debt as i64, after_create);
+        g.compact();
+        assert_eq!(debt(&g), 0);
     }
 }

@@ -391,7 +391,8 @@ pub struct Telemetry {
     pub scan_sealed_seconds: Histogram,
     /// Checked (per-entry visibility) scan latency, sampled 1-in-64.
     pub scan_checked_seconds: Histogram,
-    /// One compaction pass over a worker's dirty set.
+    /// One compaction slice of a worker's work list, or one explicit
+    /// `compact()` pass over every dirty vertex.
     pub compaction_pass_seconds: Histogram,
     /// One reactor event-loop turn (wake to next wait).
     pub reactor_turn_seconds: Histogram,

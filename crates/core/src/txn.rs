@@ -1181,13 +1181,8 @@ impl<'g> WriteTxn<'g> {
     }
 
     fn post_commit_maintenance(&self) {
-        let graph = self.graph;
-        if graph.options.auto_compaction
-            && graph
-                .compaction
-                .should_compact(self.worker, graph.options.compaction_interval)
-        {
-            crate::compaction::compact_worker(graph, self.worker);
+        if self.graph.options.auto_compaction {
+            crate::compaction::after_commit(self.graph, self.worker);
         }
     }
 

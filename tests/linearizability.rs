@@ -421,7 +421,10 @@ fn plain_engine() -> Arc<dyn Engine> {
             LiveGraphOptions::in_memory()
                 .with_capacity(1 << 26)
                 .with_max_vertices(1 << 12)
-                .with_auto_compaction(false)
+                // Compaction slices every few commits interleave with the
+                // committers (beside the explicit `compact()` thread).
+                .with_auto_compaction(true)
+                .with_compaction_interval(64)
                 // Keep every version so the oracle can time-travel to any
                 // commit epoch after the run.
                 .with_history_retention(1 << 40),
@@ -438,7 +441,8 @@ fn sharded_engine(shards: usize) -> Arc<dyn Engine> {
                 LiveGraphOptions::in_memory()
                     .with_capacity(1 << 24)
                     .with_max_vertices(1 << 12)
-                    .with_auto_compaction(false)
+                    .with_auto_compaction(true)
+                    .with_compaction_interval(64)
                     .with_history_retention(1 << 40),
             ),
         )

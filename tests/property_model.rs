@@ -227,4 +227,44 @@ proptest! {
         let read = graph.begin_read().unwrap();
         assert_matches(&read, &model, "after compaction");
     }
+
+    #[test]
+    fn compaction_slices_never_change_the_visible_state(
+        ops in proptest::collection::vec(op_strategy(), 2..120)
+    ) {
+        // Automatic compaction with a tiny interval, so slices run between
+        // the committed operations while a snapshot stays pinned. No op
+        // creates vertices, so a reclaimed id is never handed out again.
+        let graph = LiveGraph::open(
+            LiveGraphOptions::in_memory()
+                .with_capacity(1 << 24)
+                .with_max_vertices(1 << 12)
+                .with_auto_compaction(true)
+                .with_compaction_interval(4),
+        )
+        .unwrap();
+        let mut model = Model::default();
+        setup(&graph, &mut model);
+        let split = ops.len() / 2;
+        let mut pinned = None;
+        for (i, op) in ops.iter().enumerate() {
+            if i == split {
+                pinned = Some((graph.begin_read().unwrap(), model.clone()));
+            }
+            if !model.should_apply(op) {
+                continue;
+            }
+            apply_to_graph(&graph, op);
+            model.apply(op);
+        }
+        let (pinned, pinned_model) = pinned.unwrap();
+        assert_matches(&pinned, &pinned_model, "pinned snapshot under slices");
+        drop(pinned);
+        let read = graph.begin_read().unwrap();
+        assert_matches(&read, &model, "after slices");
+        drop(read);
+        graph.compact();
+        let read = graph.begin_read().unwrap();
+        assert_matches(&read, &model, "after slices and compaction");
+    }
 }
