@@ -69,7 +69,9 @@ impl BloomFilter {
         self.len / BLOOM_BLOCK_BYTES
     }
 
-    /// Inserts a key into the filter.
+    /// Inserts a key into the filter. A filter has one writer at a time:
+    /// the thread holding its vertex's lock, or the thread filling a block
+    /// no other thread can reach yet.
     pub fn insert(&self, key: u64) {
         if self.is_empty() {
             return;
@@ -77,28 +79,12 @@ impl BloomFilter {
         let (block, mut h) = self.block_and_hash(key);
         for _ in 0..BLOOM_PROBES {
             let (word, mask) = next_probe(key, &mut h);
-            // ORDERING: Relaxed — bloom bits are advisory; a racing reader
-            // that misses a bit takes the conservative scan path.
-            self.word(block, word).fetch_or(mask, Ordering::Relaxed);
-        }
-    }
-
-    /// Inserts a key into a filter no other thread can reach yet: the
-    /// filter of a TEL block that is still private to the thread filling it
-    /// (a block upgrade or a compaction rewrite). Sets the same bits as
-    /// [`BloomFilter::insert`] with a plain load, or and store per probe
-    /// instead of a locked read-modify-write.
-    pub fn insert_private(&self, key: u64) {
-        if self.is_empty() {
-            return;
-        }
-        let (block, mut h) = self.block_and_hash(key);
-        for _ in 0..BLOOM_PROBES {
-            let (word, mask) = next_probe(key, &mut h);
             let word = self.word(block, word);
-            // ORDERING: Relaxed — the block is unpublished, so no other
-            // thread reads or writes these words; the Release store that
-            // later makes the block reachable publishes them.
+            // ORDERING: Relaxed — the vertex lock makes this thread the
+            // filter's only writer, so a plain load, or and store loses no
+            // bits and needs no locked read-modify-write. Bloom bits are
+            // advisory: a racing reader that misses a bit takes the
+            // conservative scan path.
             word.store(word.load(Ordering::Relaxed) | mask, Ordering::Relaxed);
         }
     }
@@ -246,17 +232,6 @@ mod tests {
         bloom.clear();
         let present = (0..64u64).filter(|&k| bloom.may_contain(k)).count();
         assert_eq!(present, 0, "cleared filter must reject everything");
-    }
-
-    #[test]
-    fn private_insert_sets_the_same_bits_as_insert() {
-        let shared = OwnedBloom::new(1024);
-        let private = OwnedBloom::new(1024);
-        for key in 0..700u64 {
-            shared.view().insert(key * 31);
-            private.view().insert_private(key * 31);
-        }
-        assert_eq!(shared.buf, private.buf);
     }
 
     proptest! {

@@ -16,9 +16,9 @@
 //! **Pacing.** The paper compacts a worker's dirty set every
 //! `compaction_interval` commits (65 536 by default) in one pass. Here the
 //! interval is what that work is *spread over*: at each boundary the
-//! worker's dirty set becomes its *work list* (deduplicated, in
-//! multiplicative-hash order so high-degree vertices — which have low ids
-//! in generated graphs — do not all land in one slice), and over the next
+//! worker's dirty set becomes its *work list* (in the set's hash order,
+//! so high-degree vertices — which have low ids in generated graphs — do
+//! not all land in one slice), and over the next
 //! interval every commit that finds the worker behind schedule
 //! (`done / len < commits / interval`) runs one *slice*: it compacts list
 //! vertices until [`SLICE_BUDGET`] has elapsed, then frees retired blocks.
@@ -51,10 +51,6 @@ use crate::types::{Timestamp, VertexId, NULL_TS};
 /// queued behind one slice stays sub-millisecond.
 const SLICE_BUDGET: Duration = Duration::from_micros(500);
 
-/// Fibonacci-hashing multiplier that orders a work list. Odd, so the
-/// product is a bijection on `u64` and equal keys mean equal ids.
-const SPREAD: u64 = 0x9E37_79B9_7F4A_7C15;
-
 /// Statistics about compaction activity.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CompactionStats {
@@ -82,7 +78,8 @@ struct RetiredBlock {
 }
 
 /// One interval's work list: the worker's dirty set as of the last
-/// boundary, in `SPREAD` order, and how far slices have got through it.
+/// boundary, in the set's hash order, and how far slices have got through
+/// it.
 #[derive(Default)]
 struct WorkList {
     vertices: Vec<VertexId>,
@@ -196,9 +193,13 @@ impl CompactionState {
 }
 
 /// Automatic compaction, run by `worker`'s committing thread after each of
-/// its commits: counts the commit, turns the dirty set into the work list
-/// at an interval boundary, and runs one slice if the worker is behind.
+/// its commits once GRE covers the commit: counts the commit, turns the
+/// dirty set into the work list at an interval boundary, and runs one slice
+/// if the worker is behind. A no-op unless `auto_compaction` is on.
 pub(crate) fn after_commit(graph: &GraphInner, worker: usize) {
+    if !graph.options.auto_compaction {
+        return;
+    }
     let interval = graph.options.compaction_interval.max(1);
     let state = &graph.compaction.workers[worker];
     // ORDERING: Relaxed — per-worker pacing counter, touched only by the
@@ -216,15 +217,16 @@ pub(crate) fn after_commit(graph: &GraphInner, worker: usize) {
 }
 
 /// Interval boundary: the dirty set, plus whatever the last list still
-/// holds, becomes the new work list. Draining (rather than replacing) the
-/// dirty set keeps its table, so the next interval does not rehash it up
-/// from empty on the commit path.
+/// holds, becomes the new work list. The set deduplicates, and draining it
+/// yields ids in its (randomly seeded) hash order, which scatters the
+/// low-id hubs of generated graphs over the slices. Draining (rather than
+/// replacing) the set keeps its table, so the next interval does not rehash
+/// it up from empty on the commit path.
 fn start_interval(state: &WorkerCompaction) {
     let mut work = state.work.lock();
-    let mut vertices = work.take_remaining();
-    vertices.extend(state.dirty.lock().drain());
-    vertices.sort_unstable_by_key(|v| v.wrapping_mul(SPREAD));
-    vertices.dedup();
+    let mut dirty = state.dirty.lock();
+    dirty.extend(work.take_remaining());
+    let vertices = dirty.drain().collect();
     *work = WorkList { vertices, done: 0 };
 }
 

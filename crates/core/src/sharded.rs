@@ -450,13 +450,19 @@ impl ShardedGraph {
             drop(parts);
             return Err(e);
         }
-        for (_, txn) in parts {
+        for (_, txn) in parts.iter_mut() {
             txn.apply_external(epoch);
             self.clock.finish_apply(&self.epochs, epoch);
         }
         // Session consistency, mirroring the single-graph commit: wait for
         // GRE to cover this commit so the caller's next transaction sees it.
         self.clock.wait_for_gre(&self.epochs, epoch);
+        // Compaction slices run only now, as on the single-graph path: a
+        // slice run while the epoch is unapplied would hold GRE, and with
+        // it every committer on every shard.
+        for (shard, txn) in &parts {
+            crate::compaction::after_commit(self.shards[*shard].inner(), txn.worker());
+        }
         if tel.enabled() {
             tel.inc_commit(worker);
         }

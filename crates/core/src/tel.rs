@@ -185,18 +185,6 @@ impl<'a> EdgeEntryRef<'a> {
         }
     }
 
-    /// Writes both timestamps of an entry in a block that is still private
-    /// to the calling thread (see [`TelRef::copy_into`]).
-    #[inline]
-    fn set_timestamps_private(&self, creation_ts: Timestamp, invalidation_ts: Timestamp) {
-        // ORDERING: Relaxed — the block is unpublished, so nobody else reads
-        // these words; the Release store that later makes the block
-        // reachable (label index update) publishes them.
-        self.atomic_i64(8).store(creation_ts, Ordering::Relaxed);
-        // ORDERING: Relaxed — as above.
-        self.atomic_i64(16).store(invalidation_ts, Ordering::Relaxed);
-    }
-
     /// True if this entry is visible at `tre` for transaction `tid`.
     #[inline]
     pub fn visible(&self, tre: Timestamp, tid: TxnId) -> bool {
@@ -523,26 +511,6 @@ impl<'a> TelRef<'a> {
         if !self.fits(log_bytes, prop_bytes, properties.len()) {
             return None;
         }
-        let entry = self.write_entry(log_bytes, prop_bytes, dst, properties);
-        entry.set_invalidation_ts(NULL_TS);
-        entry.set_creation_ts(creation_ts);
-        self.bloom().insert(dst);
-        Some((
-            log_bytes + EDGE_ENTRY_SIZE as u64,
-            prop_bytes + properties.len() as u64,
-        ))
-    }
-
-    /// Writes the property bytes, destination and property reference of
-    /// the entry following a log of `log_bytes`, leaving its timestamps to
-    /// the caller. The caller has checked that the entry [`fits`](Self::fits).
-    fn write_entry(
-        &self,
-        log_bytes: u64,
-        prop_bytes: u64,
-        dst: VertexId,
-        properties: &[u8],
-    ) -> EdgeEntryRef<'a> {
         // Write property bytes first (they are only reachable through the
         // entry, which is published afterwards).
         let prop_offset = self.data_start() + prop_bytes as usize;
@@ -552,10 +520,17 @@ impl<'a> TelRef<'a> {
                 std::ptr::copy_nonoverlapping(properties.as_ptr(), self.ptr.add(prop_offset), properties.len());
             }
         }
-        let entry = self.entry_at_slot(Self::entry_count(log_bytes));
+        let slot = Self::entry_count(log_bytes);
+        let entry = self.entry_at_slot(slot);
         entry.set_dst(dst);
         entry.set_prop(prop_offset as u32, properties.len() as u32);
-        entry
+        entry.set_invalidation_ts(NULL_TS);
+        entry.set_creation_ts(creation_ts);
+        self.bloom().insert(dst);
+        Some((
+            log_bytes + EDGE_ENTRY_SIZE as u64,
+            prop_bytes + properties.len() as u64,
+        ))
     }
 
     /// Purely sequential scan over the log: iterates entries newest → oldest
@@ -659,12 +634,6 @@ impl<'a> TelRef<'a> {
     /// larger block and by compaction. Entries for which `keep` returns
     /// false are skipped.
     ///
-    /// `target` must be private to the calling thread until the copy is
-    /// published (both callers fill a freshly allocated block that becomes
-    /// reachable only through a later Release store), so entries and Bloom
-    /// bits are written with plain stores rather than the publishing stores
-    /// and locked bit-sets of [`TelRef::append`].
-    ///
     /// Returns the `(log_bytes, prop_bytes)` of the target after the copy.
     /// Panics if the target cannot hold the kept entries (callers size the
     /// target appropriately).
@@ -675,7 +644,6 @@ impl<'a> TelRef<'a> {
         mut keep: impl FnMut(&EdgeEntryRef<'a>) -> bool,
     ) -> (u64, u64) {
         let count = Self::entry_count(log_bytes);
-        let bloom = target.bloom();
         let mut new_log = 0u64;
         let mut new_prop = 0u64;
         // Copy oldest → newest so relative order (and therefore scan order)
@@ -686,16 +654,14 @@ impl<'a> TelRef<'a> {
                 continue;
             }
             let props = self.properties(&entry);
-            assert!(
-                target.fits(new_log, new_prop, props.len()),
-                "target TEL too small for copy_into"
-            );
-            let dst = entry.dst();
-            let copied = target.write_entry(new_log, new_prop, dst, props);
-            copied.set_timestamps_private(entry.creation_ts(), entry.invalidation_ts());
-            bloom.insert_private(dst);
-            new_log += EDGE_ENTRY_SIZE as u64;
-            new_prop += props.len() as u64;
+            let (nl, np) = target
+                .append(new_log, new_prop, entry.dst(), entry.creation_ts(), props)
+                .expect("target TEL too small for copy_into");
+            // Preserve the invalidation timestamp exactly.
+            let copied = target.entry_at_slot(TelRef::entry_count(new_log));
+            copied.set_invalidation_ts(entry.invalidation_ts());
+            new_log = nl;
+            new_prop = np;
         }
         (new_log, new_prop)
     }

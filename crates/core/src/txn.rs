@@ -1065,7 +1065,7 @@ impl<'g> WriteTxn<'g> {
         self.graph.commit.wait_for_gre(&self.graph.epochs, epoch);
         let gre_span = tel.commit_gre_wait_seconds.observe_timer(gre_timer);
         self.closed = true;
-        self.post_commit_maintenance();
+        crate::compaction::after_commit(self.graph, self.worker);
         if tel.enabled() {
             tel.inc_commit(self.worker);
         }
@@ -1110,14 +1110,14 @@ impl<'g> WriteTxn<'g> {
     /// registered one apply obligation per participating shard under
     /// `epoch` through the shared clock, and (c) made the group durable.
     /// This performs the regular apply phase (publish CT/LS/PS, convert
-    /// `-TID` stamps, release locks) and the post-commit compaction
-    /// bookkeeping; the caller must still call `finish_apply(epoch)` on the
-    /// shared clock afterwards.
-    pub(crate) fn apply_external(mut self, epoch: Timestamp) {
+    /// `-TID` stamps, release locks); the caller must still call
+    /// `finish_apply(epoch)` on the shared clock afterwards, and run
+    /// [`compaction::after_commit`](crate::compaction::after_commit) once
+    /// GRE covers `epoch`, as [`WriteTxn::commit`] does.
+    pub(crate) fn apply_external(&mut self, epoch: Timestamp) {
         debug_assert!(self.wal_ops.is_empty(), "ops must be drained before apply");
         self.apply(epoch);
         self.closed = true;
-        self.post_commit_maintenance();
     }
 
     fn apply(&mut self, epoch: Timestamp) {
@@ -1178,12 +1178,6 @@ impl<'g> WriteTxn<'g> {
             .chain(self.vertex_writes.keys().copied())
             .collect();
         graph.compaction.mark_dirty(self.worker, &dirty);
-    }
-
-    fn post_commit_maintenance(&self) {
-        if self.graph.options.auto_compaction {
-            crate::compaction::after_commit(self.graph, self.worker);
-        }
     }
 
     fn do_abort(&mut self) {
